@@ -11,7 +11,8 @@ Documents are line-oriented and diff-friendly:
 Explicit orders use ``pair: 10 01`` lines (meaning the first model is at
 least as plausible as the second).  Lines starting with ``#`` and blank
 lines are ignored.  Exit codes: 0 success (`equiv`: equivalent), 1 not
-equivalent, 2 usage errors, 3 cap or size errors, 4 validation errors.
+equivalent, 2 usage errors, 3 cap or size errors, 4 validation errors,
+5 internal errors.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from .translate import (
     level_to_natural,
     lex_to_level,
     natural_to_level,
-    natural_to_lex,
     normalize_level,
     to_explicit,
 )
@@ -157,35 +157,26 @@ def load_order(path: str | Path, validate: bool = True) -> AnyOrder:
 
 
 def translate_order(order: AnyOrder, target: str, prune: bool) -> AnyOrder:
-    if target == "level":
-        if isinstance(order, ExplicitOrder):
-            return explicit_to_level(order)
-        if isinstance(order, NaturalOrder):
-            return natural_to_level(order)
-        if isinstance(order, LexOrder):
-            return lex_to_level(order, prune=prune)
-        return normalize_level(order)
-    if target == "natural":
-        if isinstance(order, NaturalOrder):
-            return order
-        if isinstance(order, LevelOrder):
-            return level_to_natural(order)
-        if isinstance(order, ExplicitOrder):
-            return level_to_natural(explicit_to_level(order))
-        return level_to_natural(lex_to_level(order, prune=prune))
-    if target == "lexicographic":
-        if isinstance(order, LexOrder):
-            return order
-        if isinstance(order, LevelOrder):
-            return level_to_lex(order)
-        if isinstance(order, ExplicitOrder):
-            return level_to_lex(explicit_to_level(order))
-        return natural_to_lex(order)
+    """Translate to level once, then from level to the target kind."""
+    if target not in KINDS:
+        raise ValueError(f"unknown target kind '{target}'")
+    if target == kind_of(order) and target != "level":
+        return order
     if target == "explicit":
-        if isinstance(order, ExplicitOrder):
-            return order
         return to_explicit(order)
-    raise ValueError(f"unknown target kind '{target}'")
+    if isinstance(order, ExplicitOrder):
+        level = explicit_to_level(order)
+    elif isinstance(order, NaturalOrder):
+        level = natural_to_level(order, lenient=True)  # inert formulas are dropped
+    elif isinstance(order, LexOrder):
+        level = lex_to_level(order, prune=prune)
+    else:
+        level = normalize_level(order)
+    if target == "natural":
+        return level_to_natural(level)
+    if target == "lexicographic":
+        return level_to_lex(level)
+    return level
 
 
 def _cmd_check(args) -> int:
@@ -359,7 +350,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (CapExceededError, LengthCapExceededError) as exc:
@@ -368,6 +359,9 @@ def main(argv: list[str] | None = None) -> int:
     except DoxasticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except Exception as exc:
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -417,11 +417,21 @@ def truth_bitmap(formula: Formula, alphabet: Alphabet) -> int:
 
 
 def bit_positions(mask: int) -> Iterator[int]:
-    """Positions of the set bits of `mask`, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    """Positions of the set bits of `mask`, ascending.  A part still nonzero
+    after 64 bits is halved, so the cost stays linear in the mask's width."""
+    parts = [(mask, 0)]
+    while parts:
+        mask, base = parts.pop()
+        for _ in range(64):
+            if not mask:
+                break
+            low = mask & -mask
+            yield base + low.bit_length() - 1
+            mask ^= low
+        else:
+            if mask:
+                half = mask.bit_length() >> 1
+                parts += [(mask >> half, base + half), (mask & ((1 << half) - 1), base)]
 
 
 # --- concrete syntax ----------------------------------------------------------

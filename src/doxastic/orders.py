@@ -6,26 +6,29 @@ sequence of level formulas (most plausible described first), and histories
 of lexicographic or natural revisions (most recent revision first).  The
 `leq_*` functions implement each representation's inductive comparison
 directly and are the semantic ground truth for the whole package.
+`ranked_masks` is the one internal form of an order's classes: disjoint
+bitmasks over model positions, most plausible first.  `classes_by_stripping`
+builds classes from the definition instead, as the tests' reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Union
+from itertools import zip_longest
+from typing import Callable, Iterator, Union
 
 from .errors import AlphabetMismatchError, NotAPreorderError, UndeclaredVariableError
 from .formula import (
     Alphabet,
     Formula,
     Model,
+    _full_mask,
     bit_positions,
     evaluate,
     truth_bitmap,
     variables,
 )
-
-_UNRANKED = 1 << 62  # sentinel rank for models below every level formula
 
 
 def _check_formulas(alphabet: Alphabet, formulas) -> tuple[Formula, ...]:
@@ -203,15 +206,12 @@ def leq_level(order: LevelOrder, i: Model, j: Model) -> bool:
     implicit bottom class."""
     _require_member(order, i)
     _require_member(order, j)
-    rank_i = rank_j = _UNRANKED
-    for k, (sat_i, sat_j) in enumerate(_pair_truths(order.levels, order.alphabet, i, j)):
-        if sat_i and rank_i == _UNRANKED:
-            rank_i = k
-        if sat_j and rank_j == _UNRANKED:
-            rank_j = k
-        if rank_j != _UNRANKED:
-            break  # later members cannot change either least index
-    return rank_i <= rank_j
+    for sat_i, sat_j in _pair_truths(order.levels, order.alphabet, i, j):
+        if sat_i:
+            return True  # the first member holding either model holds i
+        if sat_j:
+            return False
+    return True  # both in the implicit bottom class
 
 
 def leq_lex(order: LexOrder, i: Model, j: Model) -> bool:
@@ -232,18 +232,13 @@ def leq_natural(order: NaturalOrder, i: Model, j: Model) -> bool:
     order.alphabet.require_enumerable()
     _require_member(order, i)
     _require_member(order, j)
-    promoted = _promotion_masks(order)
-    return _natural_leq_from(promoted, 0, i.position, j.position)
-
-
-def _natural_leq_from(promoted: tuple[int, ...], step: int, pos_i: int, pos_j: int) -> bool:
-    if step == len(promoted):
-        return True  # empty history compares everything both ways
-    mask = promoted[step]
-    if mask >> pos_i & 1:
-        return True  # i was promoted by this revision
-    # Otherwise i <= j held before this revision and j was not promoted by it.
-    return _natural_leq_from(promoted, step + 1, pos_i, pos_j) and not (mask >> pos_j & 1)
+    pos_i, pos_j = i.position, j.position
+    for mask in _promotion_masks(order):
+        if mask >> pos_i & 1:
+            return True  # i was promoted by this revision
+        if mask >> pos_j & 1:
+            return False  # j was promoted and i was not
+    return True  # empty history compares everything both ways
 
 
 @lru_cache(maxsize=1024)
@@ -252,25 +247,21 @@ def _promotion_masks(order: NaturalOrder) -> tuple[int, ...]:
 
     Entry t is the set (bitmask over model positions) promoted by history
     formula t: its models that the tail order puts at or below every other
-    model of the formula.  The memo is keyed by (history suffix, model) in
-    effect: `first_seen[p]` is the first suffix position that promotes the
-    model at position p, which fully determines the tail comparisons.
+    model of the formula: its part of the first class, in `tail`, that
+    meets it.  `tail` holds the classes built by the older revisions.
     """
     alphabet = order.alphabet
     alphabet.require_enumerable()
-    size = 1 << len(alphabet)
-    first_seen = [_UNRANKED] * size
+    tail = [_full_mask(len(alphabet))]
     masks = [0] * len(order.history)
     for t in range(len(order.history) - 1, -1, -1):
         sat = truth_bitmap(order.history[t], alphabet)
         if sat == 0:
             continue  # inconsistent revisions are inert
-        best = min(first_seen[p] for p in bit_positions(sat))
-        promoted = 0
-        for p in bit_positions(sat):
-            if first_seen[p] == best:
-                promoted |= 1 << p
-                first_seen[p] = t
+        c = next(k for k, cls in enumerate(tail) if cls & sat)
+        promoted, rest = tail[c] & sat, tail[c] & ~sat
+        tail[c : c + 1] = [rest] if rest else []
+        tail.insert(0, promoted)
         masks[t] = promoted
     return tuple(masks)
 
@@ -291,44 +282,63 @@ def leq(order: AnyOrder, i: Model, j: Model) -> bool:
 # --- equivalence classes ------------------------------------------------------
 
 
-def classes_of(order: AnyOrder) -> ClassPartition:
-    """Equivalence classes in plausibility order: the first class holds the
-    models minimal under the comparison, the next the minimal among the
-    rest, and so on.  Computed per representation; `classes_by_stripping`
-    is the reference construction it must (and is tested to) agree with."""
+def ranked_masks(order: AnyOrder) -> Iterator[int]:
+    """The order's equivalence classes as disjoint, nonempty bitmasks over
+    model positions, most plausible first.  Explicit orders are validated
+    before the first class is yielded."""
     alphabet = order.alphabet
     alphabet.require_enumerable()
-    if isinstance(order, ExplicitOrder):
+    full = _full_mask(len(alphabet))
+    if isinstance(order, (LevelOrder, NaturalOrder)):
+        # A model's class is the first member that holds it, or the newest
+        # revision that promoted it; models no mask covers come last.
+        if isinstance(order, LevelOrder):
+            masks = [truth_bitmap(f, alphabet) for f in order.levels]
+        else:
+            masks = _promotion_masks(order)
+        covered = 0
+        for mask in masks:
+            if mask & ~covered:
+                yield mask & ~covered
+                covered |= mask
+        if covered != full:
+            yield full & ~covered
+    elif isinstance(order, LexOrder):
+        # Depth first, newest formula outermost, satisfying part first.
+        maps = [truth_bitmap(f, alphabet) for f in order.history]
+        parts = [(full, 0)]
+        while parts:
+            mask, depth = parts.pop()
+            if depth == len(maps):
+                yield mask
+                continue
+            for part in (mask & ~maps[depth], mask & maps[depth]):
+                if part:
+                    parts.append((part, depth + 1))
+    elif isinstance(order, ExplicitOrder):
         violations = validate_explicit(order)
         if violations:
             raise NotAPreorderError(violations)
-        return classes_by_stripping(alphabet, lambda i, j: leq_explicit(order, i, j))
-    if isinstance(order, LevelOrder):
-        maps = [truth_bitmap(f, alphabet) for f in order.levels]
-        keys = [
-            next((k for k, sat in enumerate(maps) if sat >> p & 1), _UNRANKED)
-            for p in range(1 << len(alphabet))
-        ]
-    elif isinstance(order, LexOrder):
-        maps = [truth_bitmap(f, alphabet) for f in order.history]
-        # Satisfaction vectors, negated so that ascending sort order is
-        # plausibility order (satisfying an earlier formula ranks higher).
-        keys = [
-            tuple(not (m >> p & 1) for m in maps) for p in range(1 << len(alphabet))
-        ]
-    elif isinstance(order, NaturalOrder):
-        promoted = _promotion_masks(order)
-        keys = []
-        for p in range(1 << len(alphabet)):
-            keys.append(
-                next((t for t, mask in enumerate(promoted) if mask >> p & 1), _UNRANKED)
-            )
+        # In a connected preorder, the number of models a model is <= to
+        # strictly decreases from one class to the next.
+        above = [0] * (1 << len(alphabet))
+        for i, _ in order.pairs:
+            above[i.position] += 1
+        for count in sorted(set(above), reverse=True):
+            yield sum(1 << p for p, c in enumerate(above) if c == count)
     else:
         raise TypeError(f"not an order: {order!r}")
-    buckets: dict = {}
-    for p, key in enumerate(keys):
-        buckets.setdefault(key, set()).add(alphabet.model_at(p))
-    classes = tuple(frozenset(buckets[key]) for key in sorted(buckets))
+
+
+def classes_of(order: AnyOrder) -> ClassPartition:
+    """Equivalence classes in plausibility order: the first class holds the
+    models minimal under the comparison, the next the minimal among the
+    rest, and so on.  Decoded from `ranked_masks`."""
+    alphabet = order.alphabet
+    classes = tuple(
+        frozenset(map(alphabet.model_at, bit_positions(mask)))
+        for mask in ranked_masks(order)
+    )
     return ClassPartition(alphabet, classes)
 
 
@@ -357,7 +367,7 @@ def equivalent(first: AnyOrder, second: AnyOrder) -> bool:
         raise AlphabetMismatchError(
             "orders over different alphabets cannot be compared"
         )
-    return classes_of(first).classes == classes_of(second).classes
+    return all(a == b for a, b in zip_longest(ranked_masks(first), ranked_masks(second)))
 
 
 # --- explicit-order validation -------------------------------------------------

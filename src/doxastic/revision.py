@@ -46,8 +46,9 @@ def _require_normalized(order: LevelOrder) -> None:
 
 def revise_level_naturally(order: LevelOrder, formula: Formula) -> LevelOrder:
     """Split the first member consistent with the revising formula: its
-    satisfying part becomes the new top class, the remainder keeps the old
-    position, and every other member is untouched."""
+    satisfying part becomes the new top class, the remainder (when it has
+    models) keeps the old position, and every other member is untouched.
+    The result is normalized."""
     _check_formula(order.alphabet, formula)
     _require_normalized(order)
     order.alphabet.require_enumerable()
@@ -60,13 +61,15 @@ def revise_level_naturally(order: LevelOrder, formula: Formula) -> LevelOrder:
         if truth_bitmap(member, order.alphabet) & sat
     )
     target = order.levels[c]
+    kept = truth_bitmap(target, order.alphabet) & ~sat
+    left_behind = (And(Not(formula), target),) if kept else ()
     members = (
         And(formula, target),
         *order.levels[:c],
-        And(Not(formula), target),
+        *left_behind,
         *order.levels[c + 1 :],
     )
-    return LevelOrder(order.alphabet, members)
+    return LevelOrder(order.alphabet, members, normalized=True)
 
 
 def revise_level_lexicographically(

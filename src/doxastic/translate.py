@@ -9,6 +9,8 @@ order is normalized.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .errors import InconsistentRevisionError, LengthCapExceededError
 from .formula import (
     And,
@@ -30,6 +32,7 @@ from .orders import (
     NaturalOrder,
     classes_of,
     member_formulas,
+    ranked_masks,
 )
 
 DEFAULT_LENGTH_CAP = 4096
@@ -55,15 +58,8 @@ def _conjoined(formula: Formula, member: Formula) -> Formula:
 def is_normalized(order: LevelOrder) -> bool:
     """Check by enumeration: members consistent, mutually exclusive, jointly
     exhaustive."""
-    alphabet = order.alphabet
-    alphabet.require_enumerable()
-    seen = 0
-    for member in order.levels:
-        sat = truth_bitmap(member, alphabet)
-        if sat == 0 or sat & seen:
-            return False
-        seen |= sat
-    return seen == _full_mask(len(alphabet))
+    maps = [truth_bitmap(member, order.alphabet) for member in order.levels]
+    return list(ranked_masks(order)) == maps
 
 
 def normalize_level(order: LevelOrder) -> LevelOrder:
@@ -151,22 +147,12 @@ def lex_to_level(
     masks: list[int] = [full]
     for f in reversed(order.history):
         sat = truth_bitmap(f, alphabet)
-        negated = _negated(f)
-        split_masks = [sat & mask for mask in masks] + [
-            (full ^ sat) & mask for mask in masks
+        pairs = [
+            (head, tail, cut)
+            for head, part in ((f, sat), (_negated(f), full ^ sat))
+            for tail, mask in zip(members, masks)
+            if (cut := part & mask) or not prune
         ]
-        split_members = [(f, m) for m in members] + [(negated, m) for m in members]
-        if prune:
-            pairs = [
-                (head, tail, mask)
-                for (head, tail), mask in zip(split_members, split_masks)
-                if mask
-            ]
-        else:
-            pairs = [
-                (head, tail, mask)
-                for (head, tail), mask in zip(split_members, split_masks)
-            ]
         if len(pairs) > length_cap:
             raise LengthCapExceededError(
                 f"translation needs {len(pairs)} members, over the cap of {length_cap}"
@@ -201,17 +187,11 @@ def explicit_to_level(order: ExplicitOrder) -> LevelOrder:
 
 def to_explicit(order: AnyOrder) -> ExplicitOrder:
     """Materialize every pair (i, j) with i <= j."""
-    partition = classes_of(order)
-    alphabet = order.alphabet
-    ranked = [
-        (model, rank)
-        for rank, cls in enumerate(partition.classes)
-        for model in cls
-    ]
+    classes = classes_of(order).classes
     pairs = frozenset(
-        (i, j) for i, rank_i in ranked for j, rank_j in ranked if rank_i <= rank_j
+        (i, j) for k, cls in enumerate(classes) for i in cls for j in chain(*classes[k:])
     )
-    return ExplicitOrder(alphabet, pairs)
+    return ExplicitOrder(order.alphabet, pairs)
 
 
 def natural_to_lex(order: NaturalOrder, lenient: bool = False) -> LexOrder:

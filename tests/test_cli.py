@@ -103,6 +103,9 @@ class TestCheck:
     def test_missing_file_is_a_usage_error(self, capsys):
         assert main(["check", "no-such-file.ord"]) == 2
 
+    def test_unreadable_path_is_a_usage_error(self, capsys):
+        assert main(["check", str(DATA)]) == 2
+
 
 class TestTranslate:
     def test_level_output_is_a_document(self, capsys):
@@ -113,7 +116,14 @@ class TestTranslate:
 
     @pytest.mark.parametrize("target", ["explicit", "level", "lexicographic", "natural"])
     @pytest.mark.parametrize(
-        "name", ["lex_aorb_nota.ord", "nat_aorb_nota.ord", "level_overlap.ord", "explicit_chain_ab.ord"]
+        "name",
+        [
+            "lex_aorb_nota.ord",
+            "nat_aorb_nota.ord",
+            "nat_inert.ord",  # inert revisions are dropped, not refused
+            "level_overlap.ord",
+            "explicit_chain_ab.ord",
+        ],
     )
     def test_output_is_equivalent_to_input_across_the_matrix(self, capsys, target, name):
         assert main(["translate", "--to", target, "--prune", data(name)]) == 0
@@ -196,6 +206,21 @@ class TestRevise:
         order = load_document(capsys.readouterr().out)
         assert len(order.levels) == 4
 
+    def test_level_revisions_chain(self, tmp_path, capsys):
+        # Revising by a formula that holds in the whole target member leaves
+        # no remainder member, so the output stays normalized.
+        path = write(tmp_path, "a.ord", "doxastic v1\nkind: level\nvars: a\nformula: a\n")
+        steps = [["translate", "--to", "level"]] + [
+            ["revise", "--op", "natural", "--formula", "a"]
+        ] * 2
+        for k, step in enumerate(steps):
+            assert main([*step, path]) == 0
+            path = write(tmp_path, f"step{k}.ord", capsys.readouterr().out)
+        assert dx.classes_of(load_order(path)).classes == (
+            frozenset({dx.Model((True,))}),
+            frozenset({dx.Model((False,))}),
+        )
+
     def test_mismatched_operator_and_kind_is_a_usage_error(self, capsys):
         assert main(["revise", "--op", "natural", "--formula", "a", data("lex_ab.ord")]) == 2
         assert main(["revise", "--op", "lex", "--formula", "a", data("nat_empty.ord")]) == 2
@@ -223,6 +248,20 @@ class TestBlowup:
         assert main(["blowup", "--max-n", "2"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 3 and lines[0].split()[0] == "n"
+
+
+class TestInternalErrors:
+    @pytest.mark.parametrize(
+        "formula", ["!" * 3000 + "a", " & ".join(["a"] * 1200)], ids=["negations", "conjuncts"]
+    )
+    def test_deep_formulas_exit_five_with_one_line(self, tmp_path, capsys, formula):
+        path = write(
+            tmp_path, "deep.ord", f"doxastic v1\nkind: level\nvars: a\nformula: {formula}\n"
+        )
+        assert main(["classes", path]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: internal error: RecursionError: ")
+        assert len(err.splitlines()) == 1
 
 
 class TestUsage:

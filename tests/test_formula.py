@@ -1,11 +1,13 @@
 """Formula substrate: parsing, evaluation, model enumeration, rendering."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import doxastic as dx
-from doxastic.formula import dag_node_count
+from doxastic.formula import bit_positions, dag_node_count
 
 from conftest import alphabet_of, formula_strategy
 
@@ -275,3 +277,29 @@ class TestBitmapAgreement:
         sat = dx.models_of(formula, AB)
         for model in AB.models():
             assert (model in sat) == dx.evaluate(formula, model, AB)
+
+
+class TestBitPositions:
+    @staticmethod
+    def by_probing(mask, width):
+        return [p for p in range(width) if mask >> p & 1]
+
+    def test_empty_and_single_bits(self):
+        assert list(bit_positions(0)) == []
+        for p in (0, 1, 63, 64, 65, 4095):
+            assert list(bit_positions(1 << p)) == [p]
+
+    def test_random_sparse_masks(self):
+        rng = random.Random(12)
+        for _ in range(100):
+            width = rng.randint(1, 3000)
+            mask = 0
+            for _ in range(rng.randint(0, 200)):
+                mask |= 1 << rng.randrange(width)
+            assert list(bit_positions(mask)) == self.by_probing(mask, width)
+
+    def test_dense_mask(self):
+        width = 1 << 12
+        assert list(bit_positions((1 << width) - 1)) == self.by_probing(
+            (1 << width) - 1, width
+        )

@@ -150,6 +150,19 @@ class TestLeqNatural:
                         alphabet, order.history, i, j
                     )
 
+    def test_long_history_needs_no_recursion(self):
+        abc = alphabet_of(3)
+        rng = random.Random(1501)
+        # Every formula implies a, so models with a false are never promoted
+        # and their comparisons look through the whole history.
+        pool = [f(text, abc) for text in ("a", "a & b", "a & !c", "a & (b | c)")]
+        order = dx.NaturalOrder(abc, tuple(rng.choice(pool) for _ in range(1501)))
+        partition = dx.classes_of(order)
+        for i in abc.models():
+            for j in abc.models():
+                expected = partition.rank_of(i) <= partition.rank_of(j)
+                assert dx.leq_natural(order, i, j) == expected
+
 
 class TestHistoryBaseCases:
     def test_empty_histories_match_the_single_tautology_level(self):
@@ -192,6 +205,7 @@ class TestClassesOf:
 
     def test_matches_the_stripping_construction(self):
         rng = random.Random(99)
+        extra = random.Random(100)  # leaves rng's draws as they were
         for _ in range(25):
             alphabet = alphabet_of(rng.randint(1, 4))
             orders = [
@@ -199,6 +213,20 @@ class TestClassesOf:
                 random_lex_order(rng, alphabet, max_len=4, max_depth=3),
                 random_natural_order(rng, alphabet, max_len=4, max_depth=3),
                 random_explicit_order(rng, alphabet),
+            ]
+            models = alphabet.models()
+            extra.shuffle(models)
+            chain = frozenset(
+                (i, j) for k, i in enumerate(models) for j in models[k:]
+            )
+            history = random_natural_order(extra, alphabet, max_len=3, max_depth=3).history
+            head = random_lex_order(extra, alphabet, max_len=2, max_depth=2).history
+            orders += [
+                dx.ExplicitOrder(alphabet, chain),  # one class per model
+                dx.NaturalOrder(alphabet, (*history, *history, dx.FALSE)),
+                dx.NaturalOrder(alphabet, (dx.And(dx.TRUE, dx.FALSE), *history[::-1])),
+                dx.LexOrder(alphabet, (*head, dx.TRUE, *head, dx.FALSE)),
+                dx.LexOrder(alphabet, (dx.FALSE, *history, dx.TRUE)),
             ]
             for order in orders:
                 direct = dx.classes_of(order)
