@@ -11,8 +11,9 @@ Documents are line-oriented and diff-friendly:
 Explicit orders use ``pair: 10 01`` lines (meaning the first model is at
 least as plausible as the second).  Lines starting with ``#`` and blank
 lines are ignored.  Exit codes: 0 success (`equiv`: equivalent), 1 not
-equivalent, 2 usage errors, 3 cap or size errors, 4 validation errors,
-5 internal errors.
+equivalent, 2 usage errors, 3 cap or size errors, 4 validation errors
+(any malformed or invalid document), 5 internal errors: a bug in this
+package, never a property of the input.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .orders import (
     kind_of,
     leq,
     member_formulas,
-    validate_explicit,
 )
 from .revision import (
     revise_level_lexicographically,
@@ -128,10 +128,8 @@ def load_document(text: str, validate: bool = True) -> AnyOrder:
         raise DocumentError("document ended before kind and vars were declared", 1)
     if kind == "explicit":
         order = ExplicitOrder(alphabet, frozenset(pairs))
-        if validate:
-            violations = validate_explicit(order)
-            if violations:
-                raise NotAPreorderError(violations)
+        if validate and order._violations:
+            raise NotAPreorderError(order._violations)
         return order
     if kind == "level":
         return LevelOrder(alphabet, tuple(formulas))
@@ -153,7 +151,12 @@ def serialize(order: AnyOrder) -> str:
 
 
 def load_order(path: str | Path, validate: bool = True) -> AnyOrder:
-    return load_document(Path(path).read_text(encoding="utf-8"), validate=validate)
+    data = Path(path).read_bytes()
+    try:
+        return load_document(data.decode("utf-8"), validate=validate)
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise DocumentError(f"not UTF-8 text: {exc.reason} at byte {exc.start}", line) from None
 
 
 def translate_order(order: AnyOrder, target: str, prune: bool) -> AnyOrder:
@@ -360,7 +363,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except Exception as exc:
-        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        message = " ".join(str(exc).splitlines())
+        print(f"error: internal error: {type(exc).__name__}: {message}", file=sys.stderr)
         return 5
 
 

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -117,93 +118,165 @@ class Model:
 
 
 class Formula:
-    """Base class for formula syntax nodes."""
+    """Base class for formula syntax nodes.  Equality is structural and the
+    hash is memoized on each node; both cost the shared nodes, not the tree."""
 
     __slots__ = ()
 
+    def __hash__(self) -> int:
+        if "_hash" not in self.__dict__:
+            _fold((self,), _hash_node, lambda node: node.__dict__.get("_hash"))
+        return self.__dict__["_hash"]
 
-@dataclass(frozen=True)
+    def __getstate__(self) -> dict:
+        # Fields only: a memoized hash holds only in the process that made it.
+        return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Formula):
+            return NotImplemented
+        if self is other or hash(self) != hash(other):
+            return self is other
+        numbers, _ = _numbered((self, other))
+        return numbers[id(self)] == numbers[id(other)]
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__} {render(self)}>"
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Var(Formula):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class TrueConst(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class FalseConst(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Not(Formula):
     operand: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Iff(Formula):
     left: Formula
     right: Formula
 
-
-def _memoized_hash(self) -> int:
-    # Formula trees are hashed constantly as cache keys; the generated
-    # dataclass hash would walk the whole tree on every lookup.
-    cached = self.__dict__.get("_hash")
-    if cached is None:
-        values = tuple(self.__dict__[name] for name in self.__dataclass_fields__)
-        cached = hash((type(self).__name__, values))
-        self.__dict__["_hash"] = cached
-    return cached
-
-
-for _cls in (Var, TrueConst, FalseConst, Not, And, Or, Implies, Iff):
-    _cls.__hash__ = _memoized_hash  # type: ignore[assignment]
 
 TRUE = TrueConst()
 FALSE = FalseConst()
 
 _BINARY = (And, Or, Implies, Iff)
 
+# The meaning of each connective as bitwise arithmetic, where `full` has one
+# bit per model: `truth_bitmap` uses the whole model space, `evaluate` one model.
+_CONNECTIVES = {
+    TrueConst: lambda full: full,
+    FalseConst: lambda full: 0,
+    Not: lambda full, x: full ^ x,
+    And: lambda full, x, y: x & y,
+    Or: lambda full, x, y: x | y,
+    Implies: lambda full, x, y: (full ^ x) | y,
+    Iff: lambda full, x, y: full ^ x ^ y,
+}
+
+
+def _operands(node: Formula) -> tuple[Formula, ...]:
+    kind = type(node)
+    if kind in _BINARY:
+        return (node.left, node.right)
+    if kind is Not:
+        return (node.operand,)
+    if kind is Var or kind in _CONNECTIVES:
+        return ()
+    raise TypeError(f"not a formula: {node!r}")
+
+
+def _fold(roots: Iterable[Formula], visit, known=None) -> dict[int, object]:
+    """The one walk over formulas: `visit(node, *operand_values)` once per
+    distinct node object under `roots`, after its operands, with an explicit
+    stack.  A node for which `known(node)` is not None takes that value and
+    is not entered.  Returns every value, keyed by `id(node)`."""
+    values: dict[int, object] = {}
+    stack: list = list(roots)  # nodes to enter, and (node, operands) to visit
+    while stack:
+        node = stack.pop()
+        if type(node) is tuple:
+            node, operands = node
+            values[id(node)] = visit(node, *[values[id(c)] for c in operands])
+        elif id(node) not in values:
+            value = None if known is None else known(node)
+            if value is None:
+                operands = _operands(node)
+                if operands:
+                    stack.append((node, operands))
+                    stack += operands
+                else:
+                    value = visit(node)
+            values[id(node)] = value  # for an inner node, a mark until visited
+    return values
+
+
+def _shape(node: Formula, operands: tuple) -> tuple:
+    return (Var, node.name) if type(node) is Var else (type(node), *operands)
+
+
+def _hash_node(node: Formula, *operand_hashes: int) -> int:
+    value = hash(_shape(node, operand_hashes))
+    node.__dict__["_hash"] = value
+    return value
+
+
+def _numbered(roots: Iterable[Formula]) -> tuple[dict[int, object], int]:
+    """Number the subformulas under `roots` so that equal subformulas, and
+    only those, share a number; also return how many numbers were used."""
+    shapes: dict[tuple, int] = {}
+    numbers = _fold(
+        roots, lambda node, *operands: shapes.setdefault(_shape(node, operands), len(shapes))
+    )
+    return numbers, len(shapes)
+
 
 def variables(formula: Formula) -> frozenset[str]:
     """Names of all variables occurring in the formula."""
-    if isinstance(formula, Var):
-        return frozenset((formula.name,))
-    if isinstance(formula, Not):
-        return variables(formula.operand)
-    if isinstance(formula, _BINARY):
-        return variables(formula.left) | variables(formula.right)
-    return frozenset()
+    return _variables((formula,))
+
+
+def _variables(formulas: Iterable[Formula]) -> frozenset[str]:
+    """Names of all variables occurring in any of the formulas, in one walk
+    over their shared nodes."""
+    names = _fold(formulas, lambda node, *_: node.name if type(node) is Var else None)
+    return frozenset(names.values()) - {None}
 
 
 def node_count(formula: Formula) -> int:
     """Number of syntax-tree nodes, counting every occurrence."""
-    if isinstance(formula, Not):
-        return 1 + node_count(formula.operand)
-    if isinstance(formula, _BINARY):
-        return 1 + node_count(formula.left) + node_count(formula.right)
-    return 1
+    return _fold((formula,), lambda node, *counts: 1 + sum(counts))[id(formula)]
 
 
 def dag_node_count(formulas: Iterable[Formula]) -> int:
@@ -214,19 +287,7 @@ def dag_node_count(formulas: Iterable[Formula]) -> int:
     laws are stated against this count, since rewrites reuse existing
     members verbatim inside new ones.
     """
-    seen: set[Formula] = set()
-    stack = list(formulas)
-    while stack:
-        f = stack.pop()
-        if f in seen:
-            continue
-        seen.add(f)
-        if isinstance(f, Not):
-            stack.append(f.operand)
-        elif isinstance(f, _BINARY):
-            stack.append(f.left)
-            stack.append(f.right)
-    return len(seen)
+    return _numbered(tuple(formulas))[1]
 
 
 def evaluate(formula: Formula, model: Model, alphabet: Alphabet) -> bool:
@@ -235,27 +296,13 @@ def evaluate(formula: Formula, model: Model, alphabet: Alphabet) -> bool:
         raise AlphabetMismatchError(
             f"model width {model.width} does not match alphabet of {len(alphabet)}"
         )
-    return _eval(formula, model, alphabet)
 
+    def visit(node, *operands):
+        if type(node) is Var:
+            return model.bits[alphabet.position(node.name)]
+        return _CONNECTIVES[type(node)](1, *operands)
 
-def _eval(formula: Formula, model: Model, alphabet: Alphabet) -> bool:
-    if isinstance(formula, Var):
-        return model.bits[alphabet.position(formula.name)]
-    if isinstance(formula, TrueConst):
-        return True
-    if isinstance(formula, FalseConst):
-        return False
-    if isinstance(formula, Not):
-        return not _eval(formula.operand, model, alphabet)
-    if isinstance(formula, And):
-        return _eval(formula.left, model, alphabet) and _eval(formula.right, model, alphabet)
-    if isinstance(formula, Or):
-        return _eval(formula.left, model, alphabet) or _eval(formula.right, model, alphabet)
-    if isinstance(formula, Implies):
-        return not _eval(formula.left, model, alphabet) or _eval(formula.right, model, alphabet)
-    if isinstance(formula, Iff):
-        return _eval(formula.left, model, alphabet) == _eval(formula.right, model, alphabet)
-    raise TypeError(f"not a formula: {formula!r}")
+    return bool(_fold((formula,), visit)[id(formula)])
 
 
 def models_of(formula: Formula, alphabet: Alphabet) -> set[Model]:
@@ -264,12 +311,8 @@ def models_of(formula: Formula, alphabet: Alphabet) -> set[Model]:
 
 
 def is_consistent(formula: Formula, alphabet: Alphabet) -> bool:
-    """True when some model satisfies `formula`; stops at the first hit."""
-    alphabet.require_enumerable()
-    for bits in itertools.product((False, True), repeat=len(alphabet)):
-        if evaluate(formula, Model(bits), alphabet):
-            return True
-    return False
+    """True when some model satisfies `formula`."""
+    return truth_bitmap(formula, alphabet) != 0
 
 
 def conjoin(parts: Iterable[Formula]) -> Formula:
@@ -313,54 +356,35 @@ def simplify(formula: Formula) -> Formula:
 
     Never applied implicitly; callers opt in.
     """
-    if isinstance(formula, Not):
-        inner = simplify(formula.operand)
-        if isinstance(inner, TrueConst):
-            return FALSE
-        if isinstance(inner, FalseConst):
-            return TRUE
-        if isinstance(inner, Not):
-            return inner.operand
-        return Not(inner)
-    if isinstance(formula, And):
-        left, right = simplify(formula.left), simplify(formula.right)
-        if isinstance(left, FalseConst) or isinstance(right, FalseConst):
-            return FALSE
-        if isinstance(left, TrueConst):
-            return right
-        if isinstance(right, TrueConst):
-            return left
-        return And(left, right)
-    if isinstance(formula, Or):
-        left, right = simplify(formula.left), simplify(formula.right)
-        if isinstance(left, TrueConst) or isinstance(right, TrueConst):
-            return TRUE
-        if isinstance(left, FalseConst):
-            return right
-        if isinstance(right, FalseConst):
-            return left
-        return Or(left, right)
-    if isinstance(formula, Implies):
-        left, right = simplify(formula.left), simplify(formula.right)
-        if isinstance(left, FalseConst) or isinstance(right, TrueConst):
-            return TRUE
-        if isinstance(left, TrueConst):
-            return right
-        if isinstance(right, FalseConst):
-            return simplify(Not(left))
-        return Implies(left, right)
-    if isinstance(formula, Iff):
-        left, right = simplify(formula.left), simplify(formula.right)
-        if isinstance(left, TrueConst):
-            return right
-        if isinstance(right, TrueConst):
-            return left
-        if isinstance(left, FalseConst):
-            return simplify(Not(right))
-        if isinstance(right, FalseConst):
-            return simplify(Not(left))
-        return Iff(left, right)
-    return formula
+    return _fold((formula,), _simplified)[id(formula)]
+
+
+def _negation(inner: Formula) -> Formula:
+    if type(inner) is TrueConst:
+        return FALSE
+    if type(inner) is FalseConst:
+        return TRUE
+    if type(inner) is Not:
+        return inner.operand
+    return Not(inner)
+
+
+def _simplified(node: Formula, *operands: Formula) -> Formula:
+    """One node's cleanup, given its operands already simplified.  A
+    constant operand fixes the node's value, or leaves the other operand or
+    its negation, as the connective's truth table says."""
+    kind = type(node)
+    if kind is Not:
+        return _negation(operands[0])
+    for side, operand in enumerate(operands):
+        if type(operand) in (TrueConst, FalseConst):
+            bit = int(type(operand) is TrueConst)
+            low, high = (_CONNECTIVES[kind](1, *((bit, x), (x, bit))[side]) for x in (0, 1))
+            other = operands[1 - side]
+            if low == high:
+                return TRUE if low else FALSE
+            return other if high else _negation(other)
+    return kind(*operands) if operands else node
 
 
 # --- bit-parallel model sets -------------------------------------------------
@@ -387,33 +411,46 @@ def _variable_mask(width: int, position: int) -> int:
     return block * repeats
 
 
-@lru_cache(maxsize=8192)
+_bitmap_counts: Counter = Counter()  # truth_bitmap calls: "hits" and "misses"
+
+
 def truth_bitmap(formula: Formula, alphabet: Alphabet) -> int:
-    """Satisfying models of `formula` as a bitmask over model positions."""
+    """Satisfying models of `formula` as a bitmask over model positions.
+
+    Each node keeps its bitmap, with the alphabet it was computed for, for
+    as long as the node lives; the walk stops at operands whose bitmap is
+    known, so a formula built on earlier ones costs only its new nodes.
+    """
+    bits = _known_bitmap(alphabet, formula)
+    _bitmap_counts["misses" if bits is None else "hits"] += 1
+    if bits is not None:
+        return bits
     alphabet.require_enumerable()
     width = len(alphabet)
     full = _full_mask(width)
-    if isinstance(formula, Var):
-        return _variable_mask(width, alphabet.position(formula.name))
-    if isinstance(formula, TrueConst):
-        return full
-    if isinstance(formula, FalseConst):
-        return 0
-    if isinstance(formula, Not):
-        return full ^ truth_bitmap(formula.operand, alphabet)
-    if isinstance(formula, And):
-        return truth_bitmap(formula.left, alphabet) & truth_bitmap(formula.right, alphabet)
-    if isinstance(formula, Or):
-        return truth_bitmap(formula.left, alphabet) | truth_bitmap(formula.right, alphabet)
-    if isinstance(formula, Implies):
-        return (full ^ truth_bitmap(formula.left, alphabet)) | truth_bitmap(
-            formula.right, alphabet
-        )
-    if isinstance(formula, Iff):
-        return full ^ truth_bitmap(formula.left, alphabet) ^ truth_bitmap(
-            formula.right, alphabet
-        )
-    raise TypeError(f"not a formula: {formula!r}")
+
+    def visit(node, *operands):
+        if type(node) is Var:
+            bits = _variable_mask(width, alphabet.position(node.name))
+        else:
+            bits = _CONNECTIVES[type(node)](full, *operands)
+        node.__dict__["_bitmap"] = (alphabet, bits)
+        return bits
+
+    return _fold((formula,), visit, partial(_known_bitmap, alphabet))[id(formula)]
+
+
+def _known_bitmap(alphabet: Alphabet, node: Formula) -> int | None:
+    cached = node.__dict__.get("_bitmap")
+    if cached is not None and (cached[0] is alphabet or cached[0] == alphabet):
+        return cached[1]
+    return None
+
+
+# The counts read like a functools cache's: `cache_info()` gives hits, then
+# misses, and `cache_clear()` zeroes them.  No bitmap is held apart from its node.
+truth_bitmap.cache_info = lambda: (_bitmap_counts["hits"], _bitmap_counts["misses"])
+truth_bitmap.cache_clear = _bitmap_counts.clear
 
 
 def bit_positions(mask: int) -> Iterator[int]:
@@ -445,164 +482,121 @@ def bit_positions(mask: int) -> Iterator[int]:
 # atom    := "true" | "false" | IDENT | "(" formula ")"
 
 
-_SYMBOL_TOKENS = (
-    ("<->", "iff"),
-    ("->", "implies"),
-    ("!", "not"),
-    ("&", "and"),
-    ("|", "or"),
-    ("(", "lparen"),
-    (")", "rparen"),
-)
+# The connectives' symbols, from the loosest binding to the tightest.  Of the
+# binary ones, "->" alone associates to the right.
+_SYMBOLS = {Iff: "<->", Implies: "->", Or: "|", And: "&", Not: "!"}
+_PRECEDENCE = {kind: k for k, kind in enumerate(_SYMBOLS, start=1)}
+_ATOM_PRECEDENCE = len(_SYMBOLS) + 1
+# One token after optional whitespace: a symbol, a word, or any other character.
+_TOKEN_RE = re.compile(r"\s*(?:(<->|->|[|&!()])|([A-Za-z_][A-Za-z0-9_]*)|(\S))")
+_SYMBOL_KINDS = {"(": "lparen", ")": "rparen", **{s: k for k, s in _SYMBOLS.items()}}
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
+def _tokenize(text: str) -> list[tuple[object, str, int]]:
     tokens = []
-    k = 0
-    while k < len(text):
-        ch = text[k]
-        if ch.isspace():
-            k += 1
-            continue
-        for symbol, kind in _SYMBOL_TOKENS:
-            if text.startswith(symbol, k):
-                tokens.append((kind, symbol, k))
-                k += len(symbol)
-                break
+    for match in _TOKEN_RE.finditer(text):
+        symbol, word, other = match.groups()
+        pos = match.start(match.lastindex)
+        if other:
+            raise FormulaSyntaxError(f"unexpected character {other!r}", pos)
+        if symbol:
+            tokens.append((_SYMBOL_KINDS[symbol], symbol, pos))
         else:
-            match = _IDENT_RE.match(text, k)
-            if not match:
-                raise FormulaSyntaxError(f"unexpected character {ch!r}", k)
-            word = match.group()
-            kind = word if word in _KEYWORDS else "ident"
-            tokens.append((kind, word, k))
-            k = match.end()
+            tokens.append((word if word in _KEYWORDS else "ident", word, pos))
     tokens.append(("end", "", len(text)))
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str, alphabet: Alphabet):
-        self.tokens = _tokenize(text)
-        self.alphabet = alphabet
-        self.k = 0
-
-    def peek(self) -> str:
-        return self.tokens[self.k][0]
-
-    def advance(self) -> tuple[str, str, int]:
-        token = self.tokens[self.k]
-        self.k += 1
-        return token
-
-    def expect(self, kind: str, what: str) -> tuple[str, str, int]:
-        if self.peek() != kind:
-            _, value, pos = self.tokens[self.k]
-            found = repr(value) if value else "end of input"
-            raise FormulaSyntaxError(f"expected {what}, found {found}", pos)
-        return self.advance()
-
-    def parse(self) -> Formula:
-        result = self.iff()
-        if self.peek() != "end":
-            _, value, pos = self.tokens[self.k]
-            raise FormulaSyntaxError(f"unexpected {value!r} after formula", pos)
-        return result
-
-    def iff(self) -> Formula:
-        result = self.imp()
-        while self.peek() == "iff":
-            self.advance()
-            result = Iff(result, self.imp())
-        return result
-
-    def imp(self) -> Formula:
-        left = self.disjunction()
-        if self.peek() == "implies":
-            self.advance()
-            return Implies(left, self.imp())
-        return left
-
-    def disjunction(self) -> Formula:
-        result = self.conjunction()
-        while self.peek() == "or":
-            self.advance()
-            result = Or(result, self.conjunction())
-        return result
-
-    def conjunction(self) -> Formula:
-        result = self.negation()
-        while self.peek() == "and":
-            self.advance()
-            result = And(result, self.negation())
-        return result
-
-    def negation(self) -> Formula:
-        if self.peek() == "not":
-            self.advance()
-            return Not(self.negation())
-        return self.atom()
-
-    def atom(self) -> Formula:
-        kind = self.peek()
-        if kind == "true":
-            self.advance()
-            return TRUE
-        if kind == "false":
-            self.advance()
-            return FALSE
-        if kind == "ident":
-            _, name, pos = self.advance()
-            if name not in self.alphabet._positions:
-                raise UndeclaredVariableError(name, pos)
-            return Var(name)
-        if kind == "lparen":
-            self.advance()
-            inner = self.iff()
-            self.expect("rparen", "')'")
-            return inner
-        _, value, pos = self.tokens[self.k]
-        found = repr(value) if value else "end of input"
-        raise FormulaSyntaxError(f"expected a formula, found {found}", pos)
+def _found(value: str) -> str:
+    return repr(value) if value else "end of input"
 
 
 def parse(text: str, alphabet: Alphabet) -> Formula:
-    """Parse formula text; every variable must belong to `alphabet`."""
-    return _Parser(text, alphabet).parse()
+    """Parse formula text; every variable must belong to `alphabet`.
 
+    Operator precedence over explicit operand and operator stacks, so the
+    nesting depth is bounded by memory only.
+    """
+    operands: list[Formula] = []
+    pending: list = []  # connectives and "(" not yet applied
+    open_parens = 0
 
-# Precedence levels used by the renderer; higher binds tighter.
-_PREC_IFF, _PREC_IMP, _PREC_OR, _PREC_AND, _PREC_NOT, _PREC_ATOM = range(1, 7)
+    def reduce(floor: int) -> None:
+        # Apply the pending connectives that bind tighter than `floor`;
+        # "(" binds nothing.
+        while pending and _PRECEDENCE.get(pending[-1], 0) > floor:
+            kind = pending.pop()
+            if kind is Not:
+                operands.append(Not(operands.pop()))
+            else:
+                right = operands.pop()
+                operands.append(kind(operands.pop(), right))
+
+    want_operand = True
+    for kind, value, pos in _tokenize(text):
+        if want_operand:
+            if kind is Not or kind == "lparen":
+                pending.append(kind)
+                open_parens += kind == "lparen"
+                continue
+            if kind == "ident":
+                if value not in alphabet._positions:
+                    raise UndeclaredVariableError(value, pos)
+                operands.append(Var(value))
+            elif kind in _KEYWORDS:
+                operands.append(TRUE if kind == "true" else FALSE)
+            else:
+                raise FormulaSyntaxError(f"expected a formula, found {_found(value)}", pos)
+            want_operand = False
+        elif kind in _BINARY:
+            reduce(_PRECEDENCE[kind] - (kind is not Implies))
+            pending.append(kind)
+            want_operand = True
+        elif open_parens and kind == "rparen":
+            reduce(0)
+            pending.pop()
+            open_parens -= 1
+        elif open_parens:
+            raise FormulaSyntaxError(f"expected ')', found {_found(value)}", pos)
+        elif kind != "end":
+            raise FormulaSyntaxError(f"unexpected {value!r} after formula", pos)
+    reduce(0)
+    return operands.pop()
 
 
 def render(formula: Formula) -> str:
-    """Canonical text with minimal parentheses; `parse` inverts it exactly."""
-    return _render(formula, 0)
+    """Canonical text with minimal parentheses; `parse` inverts it exactly.
+    Each distinct node gets a rope (strings and its operands' ropes), which
+    is then written out front to back."""
+    ropes = _fold((formula,), _rope)
+    out = []
+    stack = [ropes[id(formula)][0]]
+    while stack:
+        piece = stack.pop()
+        if type(piece) is str:
+            out.append(piece)
+        else:
+            stack.extend(reversed(piece))
+    return "".join(out)
 
 
-def _render(formula: Formula, min_prec: int) -> str:
-    if isinstance(formula, Var):
-        return formula.name
-    if isinstance(formula, TrueConst):
-        return "true"
-    if isinstance(formula, FalseConst):
-        return "false"
-    if isinstance(formula, Not):
-        return _wrap("!" + _render(formula.operand, _PREC_NOT), _PREC_NOT, min_prec)
-    if isinstance(formula, And):
-        text = f"{_render(formula.left, _PREC_AND)} & {_render(formula.right, _PREC_AND + 1)}"
-        return _wrap(text, _PREC_AND, min_prec)
-    if isinstance(formula, Or):
-        text = f"{_render(formula.left, _PREC_OR)} | {_render(formula.right, _PREC_OR + 1)}"
-        return _wrap(text, _PREC_OR, min_prec)
-    if isinstance(formula, Implies):
-        text = f"{_render(formula.left, _PREC_IMP + 1)} -> {_render(formula.right, _PREC_IMP)}"
-        return _wrap(text, _PREC_IMP, min_prec)
-    if isinstance(formula, Iff):
-        text = f"{_render(formula.left, _PREC_IFF)} <-> {_render(formula.right, _PREC_IFF + 1)}"
-        return _wrap(text, _PREC_IFF, min_prec)
-    raise TypeError(f"not a formula: {formula!r}")
+def _rope(node: Formula, *operands: tuple) -> tuple:
+    kind = type(node)
+    if kind is Var:
+        return node.name, _ATOM_PRECEDENCE
+    if kind is TrueConst:
+        return "true", _ATOM_PRECEDENCE
+    if kind is FalseConst:
+        return "false", _ATOM_PRECEDENCE
+    prec = _PRECEDENCE[kind]
+    if kind is Not:
+        return ("!", _bracketed(operands[0], prec)), prec
+    right_assoc = kind is Implies
+    left = _bracketed(operands[0], prec + right_assoc)
+    right = _bracketed(operands[1], prec + (not right_assoc))
+    return (left, f" {_SYMBOLS[kind]} ", right), prec
 
 
-def _wrap(text: str, prec: int, min_prec: int) -> str:
-    return f"({text})" if prec < min_prec else text
+def _bracketed(rope: tuple, min_prec: int):
+    text, prec = rope
+    return ("(", text, ")") if prec < min_prec else text

@@ -14,7 +14,7 @@ builds classes from the definition instead, as the tests' reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from itertools import zip_longest
 from typing import Callable, Iterator, Union
 
@@ -24,20 +24,18 @@ from .formula import (
     Formula,
     Model,
     _full_mask,
+    _variables,
     bit_positions,
     evaluate,
     truth_bitmap,
-    variables,
 )
 
 
 def _check_formulas(alphabet: Alphabet, formulas) -> tuple[Formula, ...]:
     formulas = tuple(formulas)
-    declared = set(alphabet.vars)
-    for f in formulas:
-        stray = variables(f) - declared
-        if stray:
-            raise UndeclaredVariableError(sorted(stray)[0])
+    stray = _variables(formulas) - set(alphabet.vars)
+    if stray:
+        raise UndeclaredVariableError(sorted(stray)[0])
     return formulas
 
 
@@ -56,6 +54,11 @@ class ExplicitOrder:
                 raise AlphabetMismatchError(
                     f"pair ({i}, {j}) does not fit a {width}-variable alphabet"
                 )
+
+    @cached_property
+    def _violations(self) -> list[Violation]:
+        # Validated once per order, however many operations read it.
+        return validate_explicit(self)
 
 
 @dataclass(frozen=True)
@@ -96,6 +99,30 @@ class NaturalOrder:
 
     def __post_init__(self):
         object.__setattr__(self, "history", _check_formulas(self.alphabet, self.history))
+
+    @cached_property
+    def _promotion_masks(self) -> tuple[int, ...]:
+        """Memo table for the natural-order recursion, kept on the order.
+
+        Entry t is the set (bitmask over model positions) promoted by history
+        formula t: its models that the tail order puts at or below every other
+        model of the formula: its part of the first class, in `tail`, that
+        meets it.  `tail` holds the classes built by the older revisions.
+        """
+        alphabet = self.alphabet
+        alphabet.require_enumerable()
+        tail = [_full_mask(len(alphabet))]
+        masks = [0] * len(self.history)
+        for t in range(len(self.history) - 1, -1, -1):
+            sat = truth_bitmap(self.history[t], alphabet)
+            if sat == 0:
+                continue  # inconsistent revisions are inert
+            c = next(k for k, cls in enumerate(tail) if cls & sat)
+            promoted, rest = tail[c] & sat, tail[c] & ~sat
+            tail[c : c + 1] = [rest] if rest else []
+            tail.insert(0, promoted)
+            masks[t] = promoted
+        return tuple(masks)
 
 
 AnyOrder = Union[ExplicitOrder, LevelOrder, LexOrder, NaturalOrder]
@@ -233,37 +260,12 @@ def leq_natural(order: NaturalOrder, i: Model, j: Model) -> bool:
     _require_member(order, i)
     _require_member(order, j)
     pos_i, pos_j = i.position, j.position
-    for mask in _promotion_masks(order):
+    for mask in order._promotion_masks:
         if mask >> pos_i & 1:
             return True  # i was promoted by this revision
         if mask >> pos_j & 1:
             return False  # j was promoted and i was not
     return True  # empty history compares everything both ways
-
-
-@lru_cache(maxsize=1024)
-def _promotion_masks(order: NaturalOrder) -> tuple[int, ...]:
-    """Memo table for the natural-order recursion.
-
-    Entry t is the set (bitmask over model positions) promoted by history
-    formula t: its models that the tail order puts at or below every other
-    model of the formula: its part of the first class, in `tail`, that
-    meets it.  `tail` holds the classes built by the older revisions.
-    """
-    alphabet = order.alphabet
-    alphabet.require_enumerable()
-    tail = [_full_mask(len(alphabet))]
-    masks = [0] * len(order.history)
-    for t in range(len(order.history) - 1, -1, -1):
-        sat = truth_bitmap(order.history[t], alphabet)
-        if sat == 0:
-            continue  # inconsistent revisions are inert
-        c = next(k for k, cls in enumerate(tail) if cls & sat)
-        promoted, rest = tail[c] & sat, tail[c] & ~sat
-        tail[c : c + 1] = [rest] if rest else []
-        tail.insert(0, promoted)
-        masks[t] = promoted
-    return tuple(masks)
 
 
 def leq(order: AnyOrder, i: Model, j: Model) -> bool:
@@ -295,7 +297,7 @@ def ranked_masks(order: AnyOrder) -> Iterator[int]:
         if isinstance(order, LevelOrder):
             masks = [truth_bitmap(f, alphabet) for f in order.levels]
         else:
-            masks = _promotion_masks(order)
+            masks = order._promotion_masks
         covered = 0
         for mask in masks:
             if mask & ~covered:
@@ -316,9 +318,8 @@ def ranked_masks(order: AnyOrder) -> Iterator[int]:
                 if part:
                     parts.append((part, depth + 1))
     elif isinstance(order, ExplicitOrder):
-        violations = validate_explicit(order)
-        if violations:
-            raise NotAPreorderError(violations)
+        if order._violations:
+            raise NotAPreorderError(order._violations)
         # In a connected preorder, the number of models a model is <= to
         # strictly decreases from one class to the next.
         above = [0] * (1 << len(alphabet))

@@ -4,8 +4,11 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import doxastic as dx
+from doxastic import cli, orders
 from doxastic.cli import load_document, load_order, main, serialize
 
 DATA = Path(__file__).parent / "data"
@@ -251,17 +254,126 @@ class TestBlowup:
 
 
 class TestInternalErrors:
-    @pytest.mark.parametrize(
-        "formula", ["!" * 3000 + "a", " & ".join(["a"] * 1200)], ids=["negations", "conjuncts"]
-    )
-    def test_deep_formulas_exit_five_with_one_line(self, tmp_path, capsys, formula):
-        path = write(
-            tmp_path, "deep.ord", f"doxastic v1\nkind: level\nvars: a\nformula: {formula}\n"
-        )
-        assert main(["classes", path]) == 5
+    def test_an_unexpected_exception_exits_five_with_one_line(self, monkeypatch, capsys):
+        def broken(order):
+            raise RuntimeError("first line\nsecond line")
+
+        monkeypatch.setattr(cli, "classes_of", broken)
+        assert main(["classes", data("lex_ab.ord")]) == 5
         err = capsys.readouterr().err
-        assert err.startswith("error: internal error: RecursionError: ")
+        assert err.startswith("error: internal error: RuntimeError: first line")
         assert len(err.splitlines()) == 1
+
+    def test_a_document_that_is_not_utf8_is_a_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "binary.ord"
+        path.write_bytes(b"doxastic v1\nkind: level\nvars: a\nformula: \xff\xfe a\n")
+        assert main(["classes", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 4: not UTF-8 text") and len(err.splitlines()) == 1
+
+
+# Each formula denotes `a` through 10^4 levels of nesting.
+DEEP = {
+    "negations": "!" * 10_000 + "a",
+    "conjuncts": " & ".join(["a"] * 10_000),
+    "parentheses": "(" * 10_000 + "a" + ")" * 10_000,
+}
+REVISE_OP = {"level": "natural", "lexicographic": "lex", "natural": "natural"}
+
+
+class TestDeepDocuments:
+    """Formula depth is bounded by memory, not by the interpreter's stack:
+    each command gives on a deep document what it gives on the shallow one."""
+
+    def run(self, capsys, *argv):
+        code = main(list(argv))
+        return code, capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind", REVISE_OP)
+    @pytest.mark.parametrize("nesting", DEEP)
+    def test_commands_match_the_shallow_document(self, tmp_path, capsys, kind, nesting):
+        # A normalized level order, so that it can be revised as it stands.
+        members = "formula: {}\nformula: !a & b\nformula: !a & !b\n"
+        header = f"doxastic v1\nkind: {kind}\nvars: a b\n"
+        deep = write(tmp_path, "deep.ord", header + members.format(DEEP[nesting]))
+        shallow = write(tmp_path, "shallow.ord", header + members.format("a"))
+        for argv in (
+            ["classes", "-"],
+            ["leq", "-", "10", "01"],
+            ["revise", "--op", REVISE_OP[kind], "--formula", "b", "-"],
+        ):
+            expected = self.run(capsys, *[shallow if a == "-" else a for a in argv])
+            got = self.run(capsys, *[deep if a == "-" else a for a in argv])
+            if argv[0] == "revise":
+                assert got[0] == 0 and got[1].count("\n") == expected[1].count("\n")
+                assert dx.equivalent(load_document(got[1]), load_document(expected[1]))
+            else:
+                assert got == expected and got[0] == 0
+        code, out = self.run(capsys, "translate", "--to", "level", deep)
+        assert code == 0 and dx.equivalent(load_document(out), load_order(shallow))
+        copy = write(tmp_path, "copy.ord", header + members.format(DEEP[nesting]))
+        assert self.run(capsys, "equiv", deep, copy) == (0, "equivalent\n")
+
+
+class TestValidateOnce:
+    def test_an_explicit_order_is_validated_once(self, monkeypatch):
+        calls = []
+        original = orders.validate_explicit
+        monkeypatch.setattr(orders, "validate_explicit", lambda o: calls.append(o) or original(o))
+        order = load_order(data("explicit_two_class.ord"))
+        dx.classes_of(order)
+        assert dx.equivalent(order, order)
+        dx.to_explicit(order)
+        assert len(calls) == 1
+
+    def test_an_unvalidated_order_is_still_refused(self, tmp_path, capsys):
+        path = write(tmp_path, "bad.ord", "doxastic v1\nkind: explicit\nvars: a\npair: 0 0\n")
+        assert main(["check", "--no-validate", path]) == 0
+        assert main(["classes", path]) == 4
+        order = load_order(path, validate=False)
+        with pytest.raises(dx.NotAPreorderError):
+            dx.classes_of(order)
+
+
+_FORMULA_PIECES = ["a", "b", "c", "true", "!", "&", "|", "->", "<->", "(", ")", " ", "@"]
+_formula_text = st.one_of(
+    st.lists(st.sampled_from(_FORMULA_PIECES), max_size=12).map("".join),
+    st.integers(0, 3000).map(lambda n: "!" * n + "a"),
+    st.tuples(st.integers(0, 3000), st.integers(0, 3000)).map(
+        lambda n: "(" * n[0] + "a" + ")" * n[1]
+    ),
+    st.integers(1, 1500).map(lambda n: " & ".join(["b"] * n)),
+)
+_line = st.one_of(
+    _formula_text.map(lambda text: f"formula: {text}".encode()),
+    st.sampled_from([b"pair: 00 00", b"pair: 01 10", b"pair: 1 0", b"# note", b""]),
+    st.binary(max_size=12),
+)
+_document = st.one_of(
+    st.binary(max_size=200),
+    st.tuples(
+        st.sampled_from(["explicit", "level", "lexicographic", "natural", "ranked"]),
+        st.sampled_from(["a b", "a", "", "a a", "1x"]),
+        st.lists(_line, max_size=5),
+    ).map(
+        lambda d: b"\n".join(
+            [b"doxastic v1", f"kind: {d[0]}".encode(), f"vars: {d[1]}".encode(), *d[2]]
+        )
+    ),
+)
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(document=_document)
+def test_classes_never_fails_internally(tmp_path, capsys, document):
+    path = tmp_path / "fuzz.ord"
+    path.write_bytes(document)
+    assert main(["classes", str(path)]) in (0, 1, 2, 3, 4)
+    capsys.readouterr()
 
 
 class TestUsage:

@@ -1,6 +1,9 @@
 """Formula substrate: parsing, evaluation, model enumeration, rendering."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -118,6 +121,39 @@ class TestParse:
     def test_malformed_inputs_rejected(self, text):
         with pytest.raises(dx.FormulaSyntaxError):
             dx.parse(text, AB)
+
+
+    @pytest.mark.parametrize(
+        "text,message,position",
+        [
+            ("", "expected a formula, found end of input", 0),
+            ("a b", "unexpected 'b' after formula", 2),
+            ("(a", "expected ')', found end of input", 2),
+            ("a |", "expected a formula, found end of input", 3),
+            ("| a", "expected a formula, found '|'", 0),
+            ("a @ b", "unexpected character '@'", 2),
+            ("(", "expected a formula, found end of input", 1),
+            ("(a & (b", "expected ')', found end of input", 7),
+            ("(a b)", "expected ')', found 'b'", 3),
+            (")", "expected a formula, found ')'", 0),
+            ("a)", "unexpected ')' after formula", 1),
+            ("(a))", "unexpected ')' after formula", 3),
+            ("()", "expected a formula, found ')'", 1),
+            ("a ->", "expected a formula, found end of input", 4),
+            ("-> a", "expected a formula, found '->'", 0),
+            ("a <-> ", "expected a formula, found end of input", 6),
+            ("!", "expected a formula, found end of input", 1),
+            ("a & !", "expected a formula, found end of input", 5),
+            ("a !", "unexpected '!' after formula", 2),
+            ("!(a | !)", "expected a formula, found ')'", 7),
+            ("true false", "unexpected 'false' after formula", 5),
+        ],
+    )
+    def test_errors_name_what_was_found_and_where(self, text, message, position):
+        with pytest.raises(dx.FormulaSyntaxError) as err:
+            dx.parse(text, AB)
+        assert str(err.value) == f"{message} (at position {position})"
+        assert err.value.position == position
 
 
 class TestEvaluate:
@@ -303,3 +339,60 @@ class TestBitPositions:
         assert list(bit_positions((1 << width) - 1)) == self.by_probing(
             (1 << width) - 1, width
         )
+
+
+# Each text denotes `a` through 10^4 levels of nesting.
+DEEP = {
+    "negations": "!" * 10_000 + "a",
+    "conjuncts": " & ".join(["a"] * 10_000),
+    "parentheses": "(" * 10_000 + "a" + ")" * 10_000,
+}
+
+
+class TestDeepFormulas:
+    @pytest.mark.parametrize("text", DEEP.values(), ids=DEEP.keys())
+    def test_every_function_handles_deep_nesting(self, text):
+        formula, again = dx.parse(text, AB), dx.parse(text, AB)
+        a = dx.Var("a")
+        assert formula == again and hash(formula) == hash(again)
+        assert formula != dx.Not(again) and dx.Not(formula) == dx.Not(again)
+        assert dx.truth_bitmap(formula, AB) == dx.truth_bitmap(a, AB)
+        assert [dx.evaluate(formula, m(x), AB) for x in ("01", "10")] == [False, True]
+        assert dx.variables(formula) == {"a"}
+        assert dx.parse(dx.render(formula), AB) == formula
+        assert repr(formula) == f"<{type(formula).__name__} {dx.render(formula)}>"
+        assert dx.simplify(formula) == dx.simplify(dx.parse(dx.render(formula), AB))
+        assert dx.truth_bitmap(dx.simplify(formula), AB) == dx.truth_bitmap(a, AB)
+        assert dx.node_count(formula) == 2 * text.count("a") - 1 + text.count("!")
+        assert dag_node_count([formula, again]) == text.count("a") + text.count("!")
+
+    def test_walks_cost_the_shared_nodes_not_the_tree(self):
+        def build(k):
+            # s = !s' & s', k times over: 3 * 2^k - 2 tree nodes, 2k + 1 shared ones.
+            shared = dx.Var("a")
+            for _ in range(k):
+                shared = dx.And(dx.Not(shared), shared)
+            return shared
+
+        first, second = build(60), build(60)
+        # Booleans only: a failing assert must not try to print 2^61 nodes.
+        equalities = [first == second, hash(first) == hash(second), first != build(59)]
+        equalities.append(dx.simplify(first) == first)
+        assert equalities == [True, True, True, True]
+        assert dx.node_count(first) == 3 * 2**60 - 2
+        assert dag_node_count([first, second]) == 121
+        assert dx.truth_bitmap(first, AB) == 0
+        assert dx.variables(first) == {"a"}
+
+
+
+def test_pickled_formulas_compare_equal_in_another_process(tmp_path):
+    # String hashes differ between the two processes, so a hash memoized in
+    # the first must not travel with the pickle.
+    path = str(tmp_path / "f.pickle")
+    setup = "import pickle, doxastic as dx; A = dx.Alphabet(('a', 'b')); f = dx.parse('a & !b', A)"
+    write = f"hash(f); dx.truth_bitmap(f, A); open({path!r}, 'wb').write(pickle.dumps(f))"
+    read = f"g = pickle.loads(open({path!r}, 'rb').read()); assert g == f and g in {{f}}"
+    for seed, code in ((1, write), (2, read)):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), PYTHONHASHSEED=str(seed))
+        subprocess.run([sys.executable, "-c", f"{setup}; {code}"], env=env, check=True)
