@@ -104,14 +104,19 @@ class Model:
     def width(self) -> int:
         return len(self.bits)
 
-    @property
+    @cached_property
     def position(self) -> int:
         """Index of this model in bitstring order (first variable is the
-        most significant bit)."""
+        most significant bit), computed once per model."""
         value = 0
         for bit in self.bits:
             value = value << 1 | bit
         return value
+
+    def __getstate__(self) -> dict:
+        # The field only, so a model pickles alike whether or not its
+        # position has been read.
+        return {"bits": self.bits}
 
     def __str__(self) -> str:
         return "".join("1" if b else "0" for b in self.bits)
@@ -124,9 +129,11 @@ class Formula:
     __slots__ = ()
 
     def __hash__(self) -> int:
-        if "_hash" not in self.__dict__:
-            _fold((self,), _hash_node, lambda node: node.__dict__.get("_hash"))
-        return self.__dict__["_hash"]
+        value = getattr(self, "_hash", None)
+        if value is None:
+            known = lambda node: getattr(node, "_hash", None)
+            value = _fold((self,), _hash_node, known)[id(self)]
+        return value
 
     def __getstate__(self) -> dict:
         # Fields only: a memoized hash holds only in the process that made it.
@@ -246,9 +253,11 @@ def _shape(node: Formula, operands: tuple) -> tuple:
     return (Var, node.name) if type(node) is Var else (type(node), *operands)
 
 
+# Node memos are read with getattr and set with object.__setattr__: on
+# CPython 3.11+, touching `node.__dict__` gives each node a dict object.
 def _hash_node(node: Formula, *operand_hashes: int) -> int:
     value = hash(_shape(node, operand_hashes))
-    node.__dict__["_hash"] = value
+    object.__setattr__(node, "_hash", value)
     return value
 
 
@@ -267,11 +276,14 @@ def variables(formula: Formula) -> frozenset[str]:
     return _variables((formula,))
 
 
-def _variables(formulas: Iterable[Formula]) -> frozenset[str]:
+def _variables(formulas: Iterable[Formula], alphabet: Alphabet | None = None) -> frozenset[str]:
     """Names of all variables occurring in any of the formulas, in one walk
-    over their shared nodes."""
-    names = _fold(formulas, lambda node, *_: node.name if type(node) is Var else None)
-    return frozenset(names.values()) - {None}
+    over their shared nodes.  Given `alphabet`, the walk stops at nodes with
+    a bitmap stored for it, whose variables all resolved in it (they are
+    left out of the result)."""
+    known = None if alphabet is None else partial(_known_bitmap, alphabet)
+    values = _fold(formulas, lambda node, *_: node.name if type(node) is Var else None, known)
+    return frozenset(value for value in values.values() if type(value) is str)
 
 
 def node_count(formula: Formula) -> int:
@@ -434,14 +446,14 @@ def truth_bitmap(formula: Formula, alphabet: Alphabet) -> int:
             bits = _variable_mask(width, alphabet.position(node.name))
         else:
             bits = _CONNECTIVES[type(node)](full, *operands)
-        node.__dict__["_bitmap"] = (alphabet, bits)
+        object.__setattr__(node, "_bitmap", (alphabet, bits))
         return bits
 
     return _fold((formula,), visit, partial(_known_bitmap, alphabet))[id(formula)]
 
 
 def _known_bitmap(alphabet: Alphabet, node: Formula) -> int | None:
-    cached = node.__dict__.get("_bitmap")
+    cached = getattr(node, "_bitmap", None)
     if cached is not None and (cached[0] is alphabet or cached[0] == alphabet):
         return cached[1]
     return None

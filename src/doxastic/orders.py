@@ -9,6 +9,11 @@ directly and are the semantic ground truth for the whole package.
 `ranked_masks` is the one internal form of an order's classes: disjoint
 bitmasks over model positions, most plausible first.  `classes_by_stripping`
 builds classes from the definition instead, as the tests' reference.
+
+Orders keep what they derive from their members: member bitmaps (level,
+lexicographic), promotion masks and classes (natural; a prepend extends
+them), validation (explicit).  The alphabet check on members stops at nodes
+holding a bitmap for an equal alphabet, so it walks only new nodes.
 """
 
 from __future__ import annotations
@@ -33,10 +38,32 @@ from .formula import (
 
 def _check_formulas(alphabet: Alphabet, formulas) -> tuple[Formula, ...]:
     formulas = tuple(formulas)
-    stray = _variables(formulas) - set(alphabet.vars)
+    stray = _variables(formulas, alphabet) - set(alphabet.vars)
     if stray:
         raise UndeclaredVariableError(sorted(stray)[0])
     return formulas
+
+
+def _member_bitmaps(order) -> tuple[int, ...] | None:
+    """Each member's bitmap, computed once per order; None past the cap."""
+    alphabet = order.alphabet
+    if len(alphabet) > alphabet.cap:
+        return None
+    return tuple(truth_bitmap(f, alphabet) for f in member_formulas(order))
+
+
+def _promote(classes: list[int], sat: int) -> int:
+    """One natural revision by a formula with models `sat`, applied in place
+    to `classes` (most plausible first): the formula's part of the first
+    class that meets it becomes the first class.  Returns that part, or 0
+    for an inconsistent, inert formula."""
+    if sat == 0:
+        return 0
+    c = next(k for k, cls in enumerate(classes) if cls & sat)
+    promoted, rest = classes[c] & sat, classes[c] & ~sat
+    classes[c : c + 1] = [rest] if rest else []
+    classes.insert(0, promoted)
+    return promoted
 
 
 @dataclass(frozen=True)
@@ -78,6 +105,8 @@ class LevelOrder:
     def __post_init__(self):
         object.__setattr__(self, "levels", _check_formulas(self.alphabet, self.levels))
 
+    _bitmaps = cached_property(_member_bitmaps)
+
 
 @dataclass(frozen=True)
 class LexOrder:
@@ -88,6 +117,8 @@ class LexOrder:
 
     def __post_init__(self):
         object.__setattr__(self, "history", _check_formulas(self.alphabet, self.history))
+
+    _bitmaps = cached_property(_member_bitmaps)
 
 
 @dataclass(frozen=True)
@@ -101,28 +132,31 @@ class NaturalOrder:
         object.__setattr__(self, "history", _check_formulas(self.alphabet, self.history))
 
     @cached_property
-    def _promotion_masks(self) -> tuple[int, ...]:
-        """Memo table for the natural-order recursion, kept on the order.
+    def _promotion(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Memo table for the natural-order recursion, kept on the order: the
+        promotion masks, newest first, and the classes of the whole history.
 
-        Entry t is the set (bitmask over model positions) promoted by history
+        Mask t is the set (bitmask over model positions) promoted by history
         formula t: its models that the tail order puts at or below every other
-        model of the formula: its part of the first class, in `tail`, that
-        meets it.  `tail` holds the classes built by the older revisions.
+        model of the formula: its part of the first class, among the classes
+        built by the older revisions, that meets it.
         """
         alphabet = self.alphabet
         alphabet.require_enumerable()
-        tail = [_full_mask(len(alphabet))]
-        masks = [0] * len(self.history)
-        for t in range(len(self.history) - 1, -1, -1):
-            sat = truth_bitmap(self.history[t], alphabet)
-            if sat == 0:
-                continue  # inconsistent revisions are inert
-            c = next(k for k, cls in enumerate(tail) if cls & sat)
-            promoted, rest = tail[c] & sat, tail[c] & ~sat
-            tail[c : c + 1] = [rest] if rest else []
-            tail.insert(0, promoted)
-            masks[t] = promoted
-        return tuple(masks)
+        classes = [_full_mask(len(alphabet))]
+        masks = [_promote(classes, truth_bitmap(f, alphabet)) for f in reversed(self.history)]
+        return tuple(reversed(masks)), tuple(classes)
+
+    def _revised(self, formula: Formula) -> NaturalOrder:
+        """This history with `formula` prepended.  Promotion masks already
+        computed here are extended by the one new step, not recomputed."""
+        revised = NaturalOrder(self.alphabet, (formula, *self.history))
+        if "_promotion" in vars(self):
+            masks, classes = self._promotion
+            classes = list(classes)
+            mask = _promote(classes, truth_bitmap(formula, self.alphabet))
+            vars(revised)["_promotion"] = ((mask, *masks), tuple(classes))
+        return revised
 
 
 AnyOrder = Union[ExplicitOrder, LevelOrder, LexOrder, NaturalOrder]
@@ -197,10 +231,12 @@ def member_formulas(order: AnyOrder) -> tuple[Formula, ...]:
     raise TypeError(f"not an order: {order!r}")
 
 
-def _require_member(order: AnyOrder, model: Model) -> None:
-    if model.width != len(order.alphabet):
+def _require_members(order: AnyOrder, i: Model, j: Model) -> None:
+    width = len(order.alphabet.vars)
+    if len(i.bits) != width or len(j.bits) != width:
+        model = i if len(i.bits) != width else j
         raise AlphabetMismatchError(
-            f"model {model} does not fit a {len(order.alphabet)}-variable alphabet"
+            f"model {model} does not fit a {width}-variable alphabet"
         )
 
 
@@ -209,63 +245,60 @@ def _require_member(order: AnyOrder, model: Model) -> None:
 
 def leq_explicit(order: ExplicitOrder, i: Model, j: Model) -> bool:
     """i <= j exactly when the pair is listed."""
-    _require_member(order, i)
-    _require_member(order, j)
+    _require_members(order, i, j)
     return (i, j) in order.pairs
 
 
-def _pair_truths(members, alphabet: Alphabet, i: Model, j: Model):
-    """Whether each member formula holds of i and of j.  Uses the shared
-    bitmaps when the model space is enumerable, plain evaluation otherwise
-    (level and lexicographic comparisons never need enumeration)."""
-    if len(alphabet) <= alphabet.cap:
-        pos_i, pos_j = i.position, j.position
-        for member in members:
-            sat = truth_bitmap(member, alphabet)
-            yield bool(sat >> pos_i & 1), bool(sat >> pos_j & 1)
-    else:
-        for member in members:
-            yield evaluate(member, i, alphabet), evaluate(member, j, alphabet)
+def _member_truths(order: LevelOrder | LexOrder, i: Model, j: Model):
+    """The members' bitmaps, with i's bit and j's bit in them.  Past the cap,
+    where level and lexicographic comparisons evaluate, each member's truth
+    at i and at j as a two-bit map, made as the comparison asks for it."""
+    maps = order._bitmaps
+    if maps is not None:
+        return maps, 1 << i.position, 1 << j.position
+    alphabet = order.alphabet
+    members = member_formulas(order)
+    return (evaluate(f, i, alphabet) | evaluate(f, j, alphabet) << 1 for f in members), 1, 2
+
+
+def _first_holding(maps, bit_i: int, bit_j: int) -> bool:
+    """Whether the first map holding i or j holds i; True when none does.
+    What it holds of them is i's bit, j's bit, or both (always, if i is j)."""
+    both = bit_i | bit_j
+    for sat in maps:
+        held = sat & both
+        if held:
+            return held != bit_j or held == both
+    return True
 
 
 def leq_level(order: LevelOrder, i: Model, j: Model) -> bool:
     """Compare least satisfied member indexes; unmatched models share the
     implicit bottom class."""
-    _require_member(order, i)
-    _require_member(order, j)
-    for sat_i, sat_j in _pair_truths(order.levels, order.alphabet, i, j):
-        if sat_i:
-            return True  # the first member holding either model holds i
-        if sat_j:
-            return False
-    return True  # both in the implicit bottom class
+    _require_members(order, i, j)
+    return _first_holding(*_member_truths(order, i, j))
 
 
 def leq_lex(order: LexOrder, i: Model, j: Model) -> bool:
     """The most recent revision dominates; earlier ones only break ties."""
-    _require_member(order, i)
-    _require_member(order, j)
-    for sat_i, sat_j in _pair_truths(order.history, order.alphabet, i, j):
-        if sat_i and not sat_j:
-            return True
-        if sat_j and not sat_i:
-            return False
+    _require_members(order, i, j)
+    maps, bit_i, bit_j = _member_truths(order, i, j)
+    both = bit_i | bit_j
+    for sat in maps:
+        held = sat & both
+        if held and held != both:
+            return held == bit_i  # the one model it holds comes first
     return True  # empty or fully tied history: everything compares <=
 
 
 def leq_natural(order: NaturalOrder, i: Model, j: Model) -> bool:
     """Inductive comparison: the most recent revision promotes the tail-minimal
-    models of its formula to the top; everything else keeps the tail order."""
+    models of its formula to the top; everything else keeps the tail order.
+    So i <= j when the newest revision that promoted either of them promoted
+    i, or when neither was ever promoted."""
     order.alphabet.require_enumerable()
-    _require_member(order, i)
-    _require_member(order, j)
-    pos_i, pos_j = i.position, j.position
-    for mask in order._promotion_masks:
-        if mask >> pos_i & 1:
-            return True  # i was promoted by this revision
-        if mask >> pos_j & 1:
-            return False  # j was promoted and i was not
-    return True  # empty history compares everything both ways
+    _require_members(order, i, j)
+    return _first_holding(order._promotion[0], 1 << i.position, 1 << j.position)
 
 
 def leq(order: AnyOrder, i: Model, j: Model) -> bool:
@@ -294,10 +327,7 @@ def ranked_masks(order: AnyOrder) -> Iterator[int]:
     if isinstance(order, (LevelOrder, NaturalOrder)):
         # A model's class is the first member that holds it, or the newest
         # revision that promoted it; models no mask covers come last.
-        if isinstance(order, LevelOrder):
-            masks = [truth_bitmap(f, alphabet) for f in order.levels]
-        else:
-            masks = order._promotion_masks
+        masks = order._bitmaps if isinstance(order, LevelOrder) else order._promotion[0]
         covered = 0
         for mask in masks:
             if mask & ~covered:
@@ -307,7 +337,7 @@ def ranked_masks(order: AnyOrder) -> Iterator[int]:
             yield full & ~covered
     elif isinstance(order, LexOrder):
         # Depth first, newest formula outermost, satisfying part first.
-        maps = [truth_bitmap(f, alphabet) for f in order.history]
+        maps = order._bitmaps
         parts = [(full, 0)]
         while parts:
             mask, depth = parts.pop()

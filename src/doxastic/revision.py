@@ -28,7 +28,7 @@ def _check_formula(alphabet, formula: Formula) -> None:
 def revise_natural_history(order: NaturalOrder, formula: Formula) -> NaturalOrder:
     """Naturally revising a history prepends the new formula."""
     _check_formula(order.alphabet, formula)
-    return NaturalOrder(order.alphabet, (formula, *order.history))
+    return order._revised(formula)
 
 
 def revise_lex_history(order: LexOrder, formula: Formula) -> LexOrder:
@@ -55,13 +55,10 @@ def revise_level_naturally(order: LevelOrder, formula: Formula) -> LevelOrder:
     sat = truth_bitmap(formula, order.alphabet)
     if sat == 0:
         raise InconsistentRevisionError("cannot revise by an inconsistent formula")
-    c = next(
-        k
-        for k, member in enumerate(order.levels)
-        if truth_bitmap(member, order.alphabet) & sat
-    )
+    maps = order._bitmaps
+    c = next(k for k, mask in enumerate(maps) if mask & sat)
     target = order.levels[c]
-    kept = truth_bitmap(target, order.alphabet) & ~sat
+    kept = maps[c] & ~sat
     left_behind = (And(Not(formula), target),) if kept else ()
     members = (
         And(formula, target),

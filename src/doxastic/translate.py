@@ -58,8 +58,7 @@ def _conjoined(formula: Formula, member: Formula) -> Formula:
 def is_normalized(order: LevelOrder) -> bool:
     """Check by enumeration: members consistent, mutually exclusive, jointly
     exhaustive."""
-    maps = [truth_bitmap(member, order.alphabet) for member in order.levels]
-    return list(ranked_masks(order)) == maps
+    return list(ranked_masks(order)) == list(order._bitmaps)
 
 
 def normalize_level(order: LevelOrder) -> LevelOrder:
@@ -76,8 +75,7 @@ def normalize_level(order: LevelOrder) -> LevelOrder:
     full = _full_mask(len(alphabet))
     kept: list[Formula] = []
     covered = 0
-    for k, member in enumerate(order.levels):
-        sat = truth_bitmap(member, alphabet)
+    for k, (member, sat) in enumerate(zip(order.levels, order._bitmaps)):
         fresh = sat & (full ^ covered)
         covered |= sat
         if fresh == 0:

@@ -1,6 +1,7 @@
 """Formula substrate: parsing, evaluation, model enumeration, rendering."""
 
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -71,6 +72,15 @@ class TestModel:
     def test_position_treats_first_variable_as_most_significant(self):
         assert m("10").position == 2
         assert AB.model_at(2) == m("10")
+
+    def test_reading_the_position_changes_no_comparison_or_pickle(self):
+        read, fresh, later = m("0110"), m("0110"), m("0111")
+        assert read.position == 6 and later.position == 7
+        assert read == fresh and hash(read) == hash(fresh)
+        assert read < later and fresh < later and not later < read
+        assert pickle.dumps(read) == pickle.dumps(fresh)
+        thawed = pickle.loads(pickle.dumps(read))
+        assert thawed == fresh and thawed.position == 6
 
 
 class TestParse:

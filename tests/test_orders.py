@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 
 import doxastic as dx
+from doxastic import formula as formula_module
+from doxastic import orders as orders_module
 
 from conftest import (
     alphabet_of,
@@ -14,6 +16,7 @@ from conftest import (
     is_reflexive,
     is_transitive,
     random_explicit_order,
+    random_formula,
     random_level_order,
     random_lex_order,
     random_natural_order,
@@ -431,3 +434,99 @@ class TestOrderConstruction:
         assert dx.kind_of(dx.NaturalOrder(A, ())) == "natural"
         assert dx.kind_of(dx.LevelOrder(A, ())) == "level"
         assert dx.kind_of(random_explicit_order(random.Random(1), A)) == "explicit"
+
+
+class TestMemberChecksStopAtResolvedNodes:
+    ORDERS = (dx.LevelOrder, dx.LexOrder, dx.NaturalOrder)
+
+    def test_a_bitmap_over_a_wider_alphabet_vouches_for_nothing(self):
+        formula = f("a & b")
+        dx.truth_bitmap(formula, AB)
+        for kind in self.ORDERS:
+            with pytest.raises(dx.UndeclaredVariableError) as err:
+                kind(A, (formula,))
+            assert err.value.name == "b"
+
+    def test_the_first_stray_variable_is_named_when_members_are_skipped(self):
+        resolved = f("a | !b")
+        dx.truth_bitmap(resolved, AB)
+        stray = (dx.Or(dx.Var("e"), dx.Var("d")), dx.And(resolved, dx.Var("c")))
+        for kind in self.ORDERS:
+            with pytest.raises(dx.UndeclaredVariableError) as err:
+                kind(AB, (resolved, *stray))
+            assert err.value.name == "c"
+
+    def test_an_equal_alphabet_lets_the_check_skip(self, monkeypatch):
+        formula = f("(a | b) & !a")
+        dx.truth_bitmap(formula, AB)
+        entered = []
+        operands = formula_module._operands
+        monkeypatch.setattr(
+            formula_module, "_operands", lambda node: entered.append(node) or operands(node)
+        )
+        equal = dx.Alphabet(("a", "b"))
+        assert equal == AB and equal is not AB
+        for kind in self.ORDERS:
+            kind(equal, (formula,))
+        assert entered == []
+        prepended = dx.Not(formula)
+        dx.LexOrder(equal, (prepended, formula))
+        assert entered == [prepended]  # only the new node is walked
+
+
+def evaluated_leq(order, i, j):
+    """Level and lexicographic comparisons from `evaluate` alone."""
+    held = {
+        x: [dx.evaluate(g, x, order.alphabet) for g in dx.member_formulas(order)]
+        for x in (i, j)
+    }
+    if isinstance(order, dx.LevelOrder):
+        rank = {x: (row.index(True) if True in row else len(row)) for x, row in held.items()}
+        return rank[i] <= rank[j]
+    return [not b for b in held[i]] <= [not b for b in held[j]]
+
+
+class TestMemberBitmaps:
+    WIDE = dx.Alphabet(tuple(f"v{k}" for k in range(21)))
+
+    def test_past_the_cap_comparisons_evaluate(self, monkeypatch):
+        monkeypatch.setattr(orders_module, "truth_bitmap", None)  # must not be called
+        v0, v20 = dx.Var("v0"), dx.Var("v20")
+        rng = random.Random(21)
+        models = [dx.Model(tuple(rng.random() < 0.5 for _ in range(21))) for _ in range(12)]
+        for order in (
+            dx.LevelOrder(self.WIDE, (dx.And(v0, v20), v20)),
+            dx.LexOrder(self.WIDE, (v20, v0)),
+        ):
+            for i in models:
+                for j in models:
+                    assert dx.leq(order, i, j) == evaluated_leq(order, i, j)
+
+    @pytest.mark.parametrize("kind", ["explicit", "level", "lexicographic", "natural"])
+    def test_the_first_wrong_width_model_is_named(self, kind):
+        order = {
+            "explicit": dx.to_explicit(dx.LevelOrder(AB, (f("a"),))),
+            "level": dx.LevelOrder(AB, (f("a"),)),
+            "lexicographic": dx.LexOrder(AB, (f("a"),)),
+            "natural": dx.NaturalOrder(AB, (f("a"),)),
+        }[kind]
+        for i, j, named in (("1", "01", "1"), ("01", "110", "110"), ("0", "111", "0")):
+            with pytest.raises(dx.AlphabetMismatchError) as err:
+                dx.leq(order, m(i), m(j))
+            assert str(err.value) == f"model {named} does not fit a 2-variable alphabet"
+
+    def test_bitmaps_stored_under_an_equal_alphabet_give_the_same_answers(self):
+        abc, other = alphabet_of(3), dx.Alphabet(("a", "b", "c"))
+        rng = random.Random(33)
+        for _ in range(12):
+            members = tuple(random_formula(rng, abc, 3) for _ in range(2))
+            for formula in members:
+                dx.truth_bitmap(formula, abc)
+            for order in (dx.LevelOrder(other, members), dx.LexOrder(other, members)):
+                for i in abc.models():
+                    for j in abc.models():
+                        assert dx.leq(order, i, j) == evaluated_leq(order, i, j)
+            order = dx.NaturalOrder(other, members)
+            for i in abc.models():
+                for j in abc.models():
+                    assert dx.leq(order, i, j) == naive_leq_natural(abc, members, i, j)

@@ -3,11 +3,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import doxastic as dx
 
 from conftest import (
     alphabet_of,
+    formula_strategy,
     random_consistent_formula,
     random_formula,
     random_normalized_level_order,
@@ -56,6 +59,24 @@ class TestHistoryPrepends:
         start = dx.NaturalOrder(A, (f("a", A),))
         out = dx.revise_natural_history(start, f("a & !a", A))
         assert class_strings(out) == class_strings(start)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        start=st.lists(formula_strategy(alphabet_of(3), max_leaves=4), max_size=3),
+        prepends=st.lists(
+            st.one_of(formula_strategy(alphabet_of(3), max_leaves=4), st.just(dx.FALSE)),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def test_extended_promotion_masks_equal_a_fresh_computation(self, start, prepends):
+        abc = alphabet_of(3)
+        order = dx.NaturalOrder(abc, tuple(start))
+        dx.leq_natural(order, abc.model_at(0), abc.model_at(7))
+        for formula in prepends:
+            order = dx.revise_natural_history(order, formula)
+            assert "_promotion" in vars(order)  # extended, not yet recomputed
+            assert order._promotion == dx.NaturalOrder(abc, order.history)._promotion
 
 
 class TestReviseLevelNaturally:
