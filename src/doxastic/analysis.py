@@ -70,11 +70,14 @@ def blowup_experiment(max_n: int) -> list[BlowupRow]:
 
     Timings are informational; the structural facts are enforced: 2^n
     classes, and at least 2^n - 1 level members in any equivalent order.
+    A `max_n` past the enumeration cap raises `CapExceededError` at once.
     """
+    alphabets = []
+    for n in range(1, max_n + 1):  # every width is checked before any row is computed
+        alphabets.append(Alphabet(tuple(f"x{k}" for k in range(1, n + 1))))
+        alphabets[-1].require_enumerable()
     rows = []
-    for n in range(1, max_n + 1):
-        alphabet = Alphabet(tuple(f"x{k}" for k in range(1, n + 1)))
-        alphabet.require_enumerable()
+    for n, alphabet in enumerate(alphabets, start=1):
         order = LexOrder(alphabet, tuple(Var(name) for name in alphabet.vars))
         classes = len(classes_of(order).classes)
         started = time.perf_counter()

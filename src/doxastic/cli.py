@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .analysis import blowup_experiment, format_blowup_table
@@ -239,30 +240,18 @@ def _cmd_leq(args) -> int:
 def _cmd_revise(args) -> int:
     order = load_order(args.file)
     formula = parse(args.formula, order.alphabet)
-    if args.op == "natural":
-        if isinstance(order, NaturalOrder):
-            revised = revise_natural_history(order, formula)
-        elif isinstance(order, LevelOrder):
-            revised = revise_level_naturally(order, formula)
-        else:
-            print(
-                f"error: natural revision applies to natural or level orders, "
-                f"not {kind_of(order)}",
-                file=sys.stderr,
-            )
-            return 2
+    kind, op = kind_of(order), "natural" if args.op == "natural" else "lexicographic"
+    if kind not in (op, "level"):
+        print(f"error: {op} revision applies to {op} or level orders, not {kind}", file=sys.stderr)
+        return 2
+    if kind == "level" and op == "natural":
+        revised = revise_level_naturally(order, formula)
+    elif kind == "level":
+        revised = revise_level_lexicographically(order, formula, prune=args.prune)
+    elif op == "natural":
+        revised = revise_natural_history(order, formula)
     else:
-        if isinstance(order, LexOrder):
-            revised = revise_lex_history(order, formula)
-        elif isinstance(order, LevelOrder):
-            revised = revise_level_lexicographically(order, formula, prune=args.prune)
-        else:
-            print(
-                f"error: lexicographic revision applies to lexicographic or level "
-                f"orders, not {kind_of(order)}",
-                file=sys.stderr,
-            )
-            return 2
+        revised = revise_lex_history(order, formula)
     sys.stdout.write(serialize(revised))
     return 0
 
@@ -271,17 +260,7 @@ def _cmd_blowup(args) -> int:
     rows = blowup_experiment(args.max_n)
     if args.json:
         for row in rows:
-            print(
-                json.dumps(
-                    {
-                        "n": row.n,
-                        "lex_size": row.lex_size,
-                        "classes": row.classes,
-                        "level_len": row.level_len,
-                        "millis": row.millis,
-                    }
-                )
-            )
+            print(json.dumps(asdict(row)))  # the row's fields, in order
     else:
         print(format_blowup_table(rows))
     return 0

@@ -68,10 +68,6 @@ class Alphabet:
                 f"{len(self.vars)} variables exceed the enumeration cap of {self.cap}"
             )
 
-    def model_count(self) -> int:
-        self.require_enumerable()
-        return 1 << len(self.vars)
-
     def models(self) -> list["Model"]:
         """All models in bitstring order ("00", "01", "10", ...)."""
         self.require_enumerable()
@@ -431,14 +427,22 @@ def truth_bitmap(formula: Formula, alphabet: Alphabet) -> int:
 
     Each node keeps its bitmap, with the alphabet it was computed for, for
     as long as the node lives; the walk stops at operands whose bitmap is
-    known, so a formula built on earlier ones costs only its new nodes.
+    known, so a formula built on earlier ones costs only its new nodes.  A
+    node whose operands all hold their bitmaps costs one application of its
+    connective to them, with no walk.
     """
     bits = _known_bitmap(alphabet, formula)
-    _bitmap_counts["misses" if bits is None else "hits"] += 1
     if bits is not None:
+        _bitmap_counts["hits"] += 1
+        return bits
+    _bitmap_counts["misses"] += 1
+    width = len(alphabet.vars)
+    known = [_known_bitmap(alphabet, operand) for operand in _operands(formula)]
+    if known and None not in known:
+        bits = _CONNECTIVES[type(formula)](_full_mask(width), *known)
+        object.__setattr__(formula, "_bitmap", (alphabet, bits))
         return bits
     alphabet.require_enumerable()
-    width = len(alphabet)
     full = _full_mask(width)
 
     def visit(node, *operands):

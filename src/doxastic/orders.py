@@ -11,9 +11,11 @@ bitmasks over model positions, most plausible first.  `classes_by_stripping`
 builds classes from the definition instead, as the tests' reference.
 
 Orders keep what they derive from their members: member bitmaps (level,
-lexicographic), promotion masks and classes (natural; a prepend extends
-them), validation (explicit).  The alphabet check on members stops at nodes
-holding a bitmap for an equal alphabet, so it walks only new nodes.
+lexicographic), promotion masks and classes (natural), validation
+(explicit).  A prepend extends them by one step and walks no older member;
+a level revision hands over bitmaps it got one connective per new member.
+The alphabet check on members stops at nodes holding a bitmap for an equal
+alphabet, so it walks only new nodes.
 """
 
 from __future__ import annotations
@@ -147,16 +149,22 @@ class NaturalOrder:
         masks = [_promote(classes, truth_bitmap(f, alphabet)) for f in reversed(self.history)]
         return tuple(reversed(masks)), tuple(classes)
 
-    def _revised(self, formula: Formula) -> NaturalOrder:
-        """This history with `formula` prepended.  Promotion masks already
-        computed here are extended by the one new step, not recomputed."""
-        revised = NaturalOrder(self.alphabet, (formula, *self.history))
-        if "_promotion" in vars(self):
-            masks, classes = self._promotion
-            classes = list(classes)
-            mask = _promote(classes, truth_bitmap(formula, self.alphabet))
-            vars(revised)["_promotion"] = ((mask, *masks), tuple(classes))
-        return revised
+
+def _prepended(order: LexOrder | NaturalOrder, formula: Formula) -> LexOrder | NaturalOrder:
+    """The history with `formula` (already checked) prepended, walking no
+    older member; what `order` derived from them gains the one new step."""
+    revised = object.__new__(type(order))
+    object.__setattr__(revised, "alphabet", order.alphabet)
+    object.__setattr__(revised, "history", (formula, *order.history))
+    known = vars(order)
+    if known.get("_bitmaps") is not None:
+        vars(revised)["_bitmaps"] = (truth_bitmap(formula, order.alphabet), *known["_bitmaps"])
+    if "_promotion" in known:
+        masks, classes = known["_promotion"]
+        classes = list(classes)
+        mask = _promote(classes, truth_bitmap(formula, order.alphabet))
+        vars(revised)["_promotion"] = ((mask, *masks), tuple(classes))
+    return revised
 
 
 AnyOrder = Union[ExplicitOrder, LevelOrder, LexOrder, NaturalOrder]
@@ -250,9 +258,10 @@ def leq_explicit(order: ExplicitOrder, i: Model, j: Model) -> bool:
 
 
 def _member_truths(order: LevelOrder | LexOrder, i: Model, j: Model):
-    """The members' bitmaps, with i's bit and j's bit in them.  Past the cap,
-    where level and lexicographic comparisons evaluate, each member's truth
-    at i and at j as a two-bit map, made as the comparison asks for it."""
+    """Once i and j are checked to fit, the members' bitmaps with i's bit and
+    j's bit in them.  Past the cap, where comparisons evaluate, each member's
+    truth at i and at j as a two-bit map, made as the comparison asks."""
+    _require_members(order, i, j)
     maps = order._bitmaps
     if maps is not None:
         return maps, 1 << i.position, 1 << j.position
@@ -275,13 +284,11 @@ def _first_holding(maps, bit_i: int, bit_j: int) -> bool:
 def leq_level(order: LevelOrder, i: Model, j: Model) -> bool:
     """Compare least satisfied member indexes; unmatched models share the
     implicit bottom class."""
-    _require_members(order, i, j)
     return _first_holding(*_member_truths(order, i, j))
 
 
 def leq_lex(order: LexOrder, i: Model, j: Model) -> bool:
     """The most recent revision dominates; earlier ones only break ties."""
-    _require_members(order, i, j)
     maps, bit_i, bit_j = _member_truths(order, i, j)
     both = bit_i | bit_j
     for sat in maps:
@@ -296,21 +303,23 @@ def leq_natural(order: NaturalOrder, i: Model, j: Model) -> bool:
     models of its formula to the top; everything else keeps the tail order.
     So i <= j when the newest revision that promoted either of them promoted
     i, or when neither was ever promoted."""
-    order.alphabet.require_enumerable()
+    masks = order._promotion[0]  # computing them checks the cap first
     _require_members(order, i, j)
-    return _first_holding(order._promotion[0], 1 << i.position, 1 << j.position)
+    return _first_holding(masks, 1 << i.position, 1 << j.position)
 
 
 def leq(order: AnyOrder, i: Model, j: Model) -> bool:
     """Comparison under whichever representation `order` uses."""
-    if isinstance(order, ExplicitOrder):
-        return leq_explicit(order, i, j)
-    if isinstance(order, LevelOrder):
+    # Exact types, calling this module's names: a rebound `leq_*` is the one called.
+    kind = type(order)
+    if kind is LevelOrder:
         return leq_level(order, i, j)
-    if isinstance(order, LexOrder):
+    if kind is LexOrder:
         return leq_lex(order, i, j)
-    if isinstance(order, NaturalOrder):
+    if kind is NaturalOrder:
         return leq_natural(order, i, j)
+    if kind is ExplicitOrder:
+        return leq_explicit(order, i, j)
     raise TypeError(f"not an order: {order!r}")
 
 

@@ -1,8 +1,11 @@
 """The two revision operators, as pure state transformers.
 
-On histories, revising is just prepending the new formula.  On normalized
+On histories, revising is just prepending the new formula, and what the
+parent derived from its members is extended by one step.  On normalized
 level orders, both operators admit a direct rewrite of the member sequence
 that commutes (up to equivalence) with the prepend-then-translate route.
+Each new member is a connective over nodes holding their bitmaps and is
+asked for its own as it is built, one connective application each.
 """
 
 from __future__ import annotations
@@ -12,13 +15,13 @@ from .errors import (
     InconsistentRevisionError,
     NotNormalizedError,
 )
-from .formula import And, Formula, Not, truth_bitmap, variables
-from .orders import LevelOrder, LexOrder, NaturalOrder
+from .formula import And, Formula, Not, _variables, truth_bitmap
+from .orders import LevelOrder, LexOrder, NaturalOrder, _prepended
 from .translate import is_normalized
 
 
 def _check_formula(alphabet, formula: Formula) -> None:
-    stray = variables(formula) - set(alphabet.vars)
+    stray = _variables((formula,), alphabet) - set(alphabet.vars)
     if stray:
         raise AlphabetMismatchError(
             f"formula mentions variables outside the alphabet: {sorted(stray)}"
@@ -28,13 +31,13 @@ def _check_formula(alphabet, formula: Formula) -> None:
 def revise_natural_history(order: NaturalOrder, formula: Formula) -> NaturalOrder:
     """Naturally revising a history prepends the new formula."""
     _check_formula(order.alphabet, formula)
-    return order._revised(formula)
+    return _prepended(order, formula)
 
 
 def revise_lex_history(order: LexOrder, formula: Formula) -> LexOrder:
     """Lexicographically revising a history prepends the new formula."""
     _check_formula(order.alphabet, formula)
-    return LexOrder(order.alphabet, (formula, *order.history))
+    return _prepended(order, formula)
 
 
 def _require_normalized(order: LevelOrder) -> None:
@@ -44,29 +47,32 @@ def _require_normalized(order: LevelOrder) -> None:
         )
 
 
+def _rewritten(order: LevelOrder, members, maps, normalized: bool) -> LevelOrder:
+    revised = LevelOrder(order.alphabet, tuple(members), normalized=normalized)
+    vars(revised)["_bitmaps"] = tuple(maps)  # asked for as the members were built
+    return revised
+
+
 def revise_level_naturally(order: LevelOrder, formula: Formula) -> LevelOrder:
     """Split the first member consistent with the revising formula: its
     satisfying part becomes the new top class, the remainder (when it has
     models) keeps the old position, and every other member is untouched.
     The result is normalized."""
-    _check_formula(order.alphabet, formula)
+    alphabet = order.alphabet
+    _check_formula(alphabet, formula)
     _require_normalized(order)
-    order.alphabet.require_enumerable()
-    sat = truth_bitmap(formula, order.alphabet)
+    alphabet.require_enumerable()
+    sat = truth_bitmap(formula, alphabet)
     if sat == 0:
         raise InconsistentRevisionError("cannot revise by an inconsistent formula")
-    maps = order._bitmaps
+    levels, maps = order.levels, order._bitmaps
     c = next(k for k, mask in enumerate(maps) if mask & sat)
-    target = order.levels[c]
-    kept = maps[c] & ~sat
-    left_behind = (And(Not(formula), target),) if kept else ()
-    members = (
-        And(formula, target),
-        *order.levels[:c],
-        *left_behind,
-        *order.levels[c + 1 :],
-    )
-    return LevelOrder(order.alphabet, members, normalized=True)
+    parts = [And(formula, levels[c]), And(Not(formula), levels[c])]
+    bits = [truth_bitmap(part, alphabet) for part in parts]
+    if not bits[1]:  # nothing is left behind; the promoted part always has models
+        del parts[1], bits[1]
+    members = (parts[0], *levels[:c], *parts[1:], *levels[c + 1 :])
+    return _rewritten(order, members, (bits[0], *maps[:c], *bits[1:], *maps[c + 1 :]), True)
 
 
 def revise_level_lexicographically(
@@ -75,14 +81,13 @@ def revise_level_lexicographically(
     """Double the sequence: all members conjoined with the revising formula
     first, then all members conjoined with its negation.  With `prune`,
     members left without models are dropped."""
-    _check_formula(order.alphabet, formula)
+    alphabet = order.alphabet
+    _check_formula(alphabet, formula)
     _require_normalized(order)
-    order.alphabet.require_enumerable()
-    members = [And(formula, member) for member in order.levels] + [
-        And(Not(formula), member) for member in order.levels
-    ]
+    alphabet.require_enumerable()
+    members = [And(head, member) for head in (formula, Not(formula)) for member in order.levels]
+    maps = [truth_bitmap(member, alphabet) for member in members]
     if prune:
-        members = [
-            member for member in members if truth_bitmap(member, order.alphabet)
-        ]
-    return LevelOrder(order.alphabet, tuple(members), normalized=prune)
+        members = [member for member, sat in zip(members, maps) if sat]
+        maps = [sat for sat in maps if sat]
+    return _rewritten(order, members, maps, prune)

@@ -82,6 +82,14 @@ class TestBlowupExperiment:
         assert [row.level_len for row in rows] == [2**n for n in range(1, 7)]
         assert [row.lex_size for row in rows] == [2 * n for n in range(1, 7)]
 
+    def test_a_width_past_the_cap_is_refused_before_any_row(self, monkeypatch):
+        def row_computed(order):
+            raise AssertionError("a row was computed")
+
+        monkeypatch.setattr(dx.analysis, "classes_of", row_computed)
+        with pytest.raises(dx.CapExceededError):
+            dx.blowup_experiment(21)
+
     def test_table_has_one_line_per_row(self):
         rows = dx.blowup_experiment(4)
         table = dx.format_blowup_table(rows)

@@ -252,6 +252,12 @@ class TestBlowup:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 3 and lines[0].split()[0] == "n"
 
+    def test_a_max_n_past_the_cap_exits_three_with_no_rows(self, capsys):
+        assert main(["blowup", "--max-n", "21", "--json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: 21 variables exceed the enumeration cap of 20\n"
+
 
 class TestInternalErrors:
     def test_an_unexpected_exception_exits_five_with_one_line(self, monkeypatch, capsys):

@@ -1,6 +1,7 @@
 """Revision operators: history prepends and direct level-order rewrites."""
 
 import random
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
@@ -77,6 +78,99 @@ class TestHistoryPrepends:
             order = dx.revise_natural_history(order, formula)
             assert "_promotion" in vars(order)  # extended, not yet recomputed
             assert order._promotion == dx.NaturalOrder(abc, order.history)._promotion
+
+
+class TestLexPrepends:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        start=st.lists(formula_strategy(alphabet_of(3), max_leaves=4), max_size=3),
+        prepends=st.lists(
+            st.tuples(
+                st.one_of(formula_strategy(alphabet_of(3), max_leaves=4), st.just(dx.FALSE)),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def test_extended_bitmaps_equal_a_fresh_computation(self, start, prepends):
+        abc = alphabet_of(3)
+        order = dx.LexOrder(abc, tuple(start))
+        for formula, read_first in prepends:
+            if read_first:
+                dx.leq_lex(order, abc.model_at(0), abc.model_at(7))
+            extended = "_bitmaps" in vars(order)
+            order = dx.revise_lex_history(order, formula)
+            assert ("_bitmaps" in vars(order)) == extended  # exactly when the parent had its tuple
+            if extended:
+                assert vars(order)["_bitmaps"] == dx.LexOrder(abc, order.history)._bitmaps
+        assert order._bitmaps == dx.LexOrder(abc, order.history)._bitmaps
+
+    def test_past_the_cap_a_prepend_compares_through_evaluate(self):
+        wide = dx.Alphabet(tuple(f"v{k}" for k in range(21)))
+        rng = random.Random(21)
+        models = [dx.Model(tuple(rng.random() < 0.5 for _ in range(21))) for _ in range(10)]
+        order = dx.LexOrder(wide, (dx.Var("v0"),))
+        dx.leq(order, models[0], models[1])
+        order = dx.revise_lex_history(order, dx.Or(dx.Var("v20"), dx.Not(dx.Var("v3"))))
+        falsified = {
+            x: [not dx.evaluate(g, x, wide) for g in order.history] for x in models
+        }
+        for i in models:
+            for j in models:
+                assert dx.leq(order, i, j) == (falsified[i] <= falsified[j])
+
+    def test_a_prepend_and_its_first_read_cost_one_new_bitmap(self):
+        alphabet = alphabet_of(8)
+        names = alphabet.vars
+        rng = random.Random(1000)
+
+        def fresh():
+            a, b, c = rng.sample(names, 3)
+            return dx.And(dx.Or(dx.Var(a), dx.Not(dx.Var(b))), dx.Var(c))
+
+        order = dx.LexOrder(alphabet, tuple(fresh() for _ in range(1000)))
+        i, j = alphabet.model_at(3), alphabet.model_at(200)
+        dx.leq(order, i, j)
+        seconds = []
+        for formula in [fresh() for _ in range(30)]:
+            misses = dx.truth_bitmap.cache_info()[1]
+            started = perf_counter()
+            order = dx.revise_lex_history(order, formula)
+            dx.leq(order, i, j)
+            seconds.append(perf_counter() - started)
+            assert dx.truth_bitmap.cache_info()[1] == misses + 1
+        assert min(seconds) < 1e-4
+
+
+class TestRewrittenBitmaps:
+    """A rewritten level order's bitmaps are its members' own: each equals
+    the bitmap of the member's text parsed afresh, with no node memo."""
+
+    @staticmethod
+    def assert_independent(order):
+        alphabet = order.alphabet
+        fresh = tuple(
+            dx.truth_bitmap(dx.parse(dx.render(member), alphabet), alphabet)
+            for member in order.levels
+        )
+        assert order._bitmaps == fresh
+        assert tuple(dx.truth_bitmap(member, alphabet) for member in order.levels) == fresh
+
+    def test_revisions_and_normalization(self):
+        rng = random.Random(79)
+        for _ in range(40):
+            alphabet = alphabet_of(rng.randint(1, 4))
+            q = random_normalized_level_order(rng, alphabet, max_len=4, max_depth=3)
+            assert q._bitmaps  # the members hold bitmaps, so the rewrites start from them
+            revising = random_consistent_formula(rng, alphabet, 3)
+            for out in (
+                dx.revise_level_naturally(q, revising),
+                dx.revise_level_lexicographically(q, revising),
+                dx.revise_level_lexicographically(q, revising, prune=True),
+            ):
+                self.assert_independent(out)
+                self.assert_independent(dx.normalize_level(out))
 
 
 class TestReviseLevelNaturally:
