@@ -39,6 +39,7 @@ from .orders import (
     LevelOrder,
     LexOrder,
     NaturalOrder,
+    _trusted,
     classes_of,
     equivalent,
     kind_of,
@@ -63,6 +64,7 @@ from .translate import (
 
 MAGIC = "doxastic v1"
 KINDS = ("explicit", "level", "lexicographic", "natural")
+_MEMBER_KINDS = {"level": LevelOrder, "lexicographic": LexOrder, "natural": NaturalOrder}
 
 
 def load_document(text: str, validate: bool = True) -> AnyOrder:
@@ -132,11 +134,8 @@ def load_document(text: str, validate: bool = True) -> AnyOrder:
         if validate and order._violations:
             raise NotAPreorderError(order._violations)
         return order
-    if kind == "level":
-        return LevelOrder(alphabet, tuple(formulas))
-    if kind == "lexicographic":
-        return LexOrder(alphabet, tuple(formulas))
-    return NaturalOrder(alphabet, tuple(formulas))
+    # `parse` refused every undeclared variable: the members need no second walk.
+    return _trusted(_MEMBER_KINDS[kind], alphabet, formulas)
 
 
 def serialize(order: AnyOrder) -> str:

@@ -9,11 +9,10 @@ uses on hot paths.
 
 from __future__ import annotations
 
-import itertools
 import re
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache, partial, total_ordering
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -71,51 +70,77 @@ class Alphabet:
     def models(self) -> list["Model"]:
         """All models in bitstring order ("00", "01", "10", ...)."""
         self.require_enumerable()
-        return [
-            Model(bits)
-            for bits in itertools.product((False, True), repeat=len(self.vars))
-        ]
+        width = len(self.vars)
+        return [_model(p, width) for p in range(1 << width)]
 
     def model_at(self, position: int) -> "Model":
-        n = len(self.vars)
-        return Model(tuple(bool(position >> (n - 1 - k) & 1) for k in range(n)))
+        return _model(position, len(self.vars))
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class Model:
-    """A total truth assignment, one bit per alphabet variable."""
+    """A total truth assignment, one bit per alphabet variable.
 
-    bits: tuple[bool, ...]
+    It stores its `position` in bitstring order (the first variable is the
+    most significant bit) and its `width`, and derives `bits` when first
+    read.  Models compare, hash, order and pickle as their bit tuples.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "bits", tuple(bool(b) for b in self.bits))
+    __slots__ = ("position", "width", "_bits")
+
+    def __init__(self, bits) -> None:
+        self._bits = bits = tuple(bool(b) for b in bits)
+        self.position = sum(bit << k for k, bit in enumerate(reversed(bits)))
+        self.width = len(bits)
 
     @classmethod
     def from_string(cls, text: str) -> "Model":
-        if not text or any(c not in "01" for c in text):
+        if not text or text.strip("01"):
             raise ValueError(f"model must be a nonempty bitstring, got {text!r}")
-        return cls(tuple(c == "1" for c in text))
+        return _model(int(text, 2), len(text))
 
     @property
-    def width(self) -> int:
-        return len(self.bits)
+    def bits(self) -> tuple[bool, ...]:
+        try:
+            return self._bits
+        except AttributeError:  # derived on first read
+            self._bits = tuple(map("1".__eq__, str(self)))
+            return self._bits
 
-    @cached_property
-    def position(self) -> int:
-        """Index of this model in bitstring order (first variable is the
-        most significant bit), computed once per model."""
-        value = 0
-        for bit in self.bits:
-            value = value << 1 | bit
-        return value
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.position == other.position and self.width == other.width
+
+    def __hash__(self) -> int:
+        return self.position ^ self.width
+
+    def __lt__(self, other) -> bool:
+        # As bit tuples: positions aligned on their first bits, then the shorter first.
+        if type(other) is not type(self):
+            return NotImplemented
+        top = max(self.width, other.width)
+        mine = (self.position << top - self.width, self.width)
+        return mine < (other.position << top - other.width, other.width)
 
     def __getstate__(self) -> dict:
-        # The field only, so a model pickles alike whether or not its
-        # position has been read.
         return {"bits": self.bits}
 
+    def __setstate__(self, state: dict) -> None:
+        Model.__init__(self, state["bits"])
+
+    def __repr__(self) -> str:
+        return f"Model(bits={self.bits!r})"
+
     def __str__(self) -> str:
-        return "".join("1" if b else "0" for b in self.bits)
+        return format(self.position, f"0{self.width}b") if self.width else ""
+
+
+def _model(position: int, width: int, _new=object.__new__) -> Model:
+    """The model at `position` among those of `width` bits, with no bit tuple."""
+    model = _new(Model)
+    model.position, model.width = position, width
+    return model
 
 
 class Formula:
@@ -305,9 +330,11 @@ def evaluate(formula: Formula, model: Model, alphabet: Alphabet) -> bool:
             f"model width {model.width} does not match alphabet of {len(alphabet)}"
         )
 
+    bits = model.bits  # read once: a property
+
     def visit(node, *operands):
         if type(node) is Var:
-            return model.bits[alphabet.position(node.name)]
+            return bits[alphabet.position(node.name)]
         return _CONNECTIVES[type(node)](1, *operands)
 
     return bool(_fold((formula,), visit)[id(formula)])

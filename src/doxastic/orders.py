@@ -15,14 +15,15 @@ lexicographic), promotion masks and classes (natural), validation
 (explicit).  A prepend extends them by one step and walks no older member;
 a level revision hands over bitmaps it got one connective per new member.
 The alphabet check on members stops at nodes holding a bitmap for an equal
-alphabet, so it walks only new nodes.
+alphabet.  Orders built by connectives over checked members, the alphabet's
+variables and constants (translations, revisions, loads) skip it: `_trusted`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import zip_longest
+from itertools import repeat, zip_longest
 from typing import Callable, Iterator, Union
 
 from .errors import AlphabetMismatchError, NotAPreorderError, UndeclaredVariableError
@@ -31,6 +32,7 @@ from .formula import (
     Formula,
     Model,
     _full_mask,
+    _model,
     _variables,
     bit_positions,
     evaluate,
@@ -150,21 +152,28 @@ class NaturalOrder:
         return tuple(reversed(masks)), tuple(classes)
 
 
+def _trusted(kind, alphabet: Alphabet, members, **fields):
+    """An order of `kind` over members built only from nodes checked against
+    `alphabet` already, made without the constructor's walk.  `fields` may
+    set `normalized` and memos the caller derived by the formula rule."""
+    order = object.__new__(kind)
+    field = "levels" if kind is LevelOrder else "history"
+    vars(order).update({"alphabet": alphabet, field: tuple(members)}, **fields)
+    return order
+
+
 def _prepended(order: LexOrder | NaturalOrder, formula: Formula) -> LexOrder | NaturalOrder:
     """The history with `formula` (already checked) prepended, walking no
     older member; what `order` derived from them gains the one new step."""
-    revised = object.__new__(type(order))
-    object.__setattr__(revised, "alphabet", order.alphabet)
-    object.__setattr__(revised, "history", (formula, *order.history))
-    known = vars(order)
+    alphabet, known, extended = order.alphabet, vars(order), {}
     if known.get("_bitmaps") is not None:
-        vars(revised)["_bitmaps"] = (truth_bitmap(formula, order.alphabet), *known["_bitmaps"])
+        extended["_bitmaps"] = (truth_bitmap(formula, alphabet), *known["_bitmaps"])
     if "_promotion" in known:
         masks, classes = known["_promotion"]
         classes = list(classes)
-        mask = _promote(classes, truth_bitmap(formula, order.alphabet))
-        vars(revised)["_promotion"] = ((mask, *masks), tuple(classes))
-    return revised
+        mask = _promote(classes, truth_bitmap(formula, alphabet))
+        extended["_promotion"] = ((mask, *masks), tuple(classes))
+    return _trusted(type(order), alphabet, (formula, *order.history), **extended)
 
 
 AnyOrder = Union[ExplicitOrder, LevelOrder, LexOrder, NaturalOrder]
@@ -241,8 +250,8 @@ def member_formulas(order: AnyOrder) -> tuple[Formula, ...]:
 
 def _require_members(order: AnyOrder, i: Model, j: Model) -> None:
     width = len(order.alphabet.vars)
-    if len(i.bits) != width or len(j.bits) != width:
-        model = i if len(i.bits) != width else j
+    if i.width != width or j.width != width:
+        model = i if i.width != width else j
         raise AlphabetMismatchError(
             f"model {model} does not fit a {width}-variable alphabet"
         )
@@ -374,12 +383,12 @@ def classes_of(order: AnyOrder) -> ClassPartition:
     """Equivalence classes in plausibility order: the first class holds the
     models minimal under the comparison, the next the minimal among the
     rest, and so on.  Decoded from `ranked_masks`."""
-    alphabet = order.alphabet
+    width = len(order.alphabet)
     classes = tuple(
-        frozenset(map(alphabet.model_at, bit_positions(mask)))
+        frozenset(map(_model, bit_positions(mask), repeat(width)))
         for mask in ranked_masks(order)
     )
-    return ClassPartition(alphabet, classes)
+    return ClassPartition(order.alphabet, classes)
 
 
 def classes_by_stripping(

@@ -16,7 +16,7 @@ from .errors import (
     NotNormalizedError,
 )
 from .formula import And, Formula, Not, _variables, truth_bitmap
-from .orders import LevelOrder, LexOrder, NaturalOrder, _prepended
+from .orders import LevelOrder, LexOrder, NaturalOrder, _prepended, _trusted
 from .translate import is_normalized
 
 
@@ -47,12 +47,6 @@ def _require_normalized(order: LevelOrder) -> None:
         )
 
 
-def _rewritten(order: LevelOrder, members, maps, normalized: bool) -> LevelOrder:
-    revised = LevelOrder(order.alphabet, tuple(members), normalized=normalized)
-    vars(revised)["_bitmaps"] = tuple(maps)  # asked for as the members were built
-    return revised
-
-
 def revise_level_naturally(order: LevelOrder, formula: Formula) -> LevelOrder:
     """Split the first member consistent with the revising formula: its
     satisfying part becomes the new top class, the remainder (when it has
@@ -72,7 +66,8 @@ def revise_level_naturally(order: LevelOrder, formula: Formula) -> LevelOrder:
     if not bits[1]:  # nothing is left behind; the promoted part always has models
         del parts[1], bits[1]
     members = (parts[0], *levels[:c], *parts[1:], *levels[c + 1 :])
-    return _rewritten(order, members, (bits[0], *maps[:c], *bits[1:], *maps[c + 1 :]), True)
+    maps = (bits[0], *maps[:c], *bits[1:], *maps[c + 1 :])
+    return _trusted(LevelOrder, alphabet, members, normalized=True, _bitmaps=maps)
 
 
 def revise_level_lexicographically(
@@ -90,4 +85,4 @@ def revise_level_lexicographically(
     if prune:
         members = [member for member, sat in zip(members, maps) if sat]
         maps = [sat for sat in maps if sat]
-    return _rewritten(order, members, maps, prune)
+    return _trusted(LevelOrder, alphabet, members, normalized=prune, _bitmaps=tuple(maps))

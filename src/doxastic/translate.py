@@ -4,7 +4,8 @@ Every translation returns an order equivalent to its input.  Growth is
 linear for natural histories (the output has one member more than the
 history), doubling per step for lexicographic histories unless pruning
 drops empty members, and the identity on the member sequence once a level
-order is normalized.
+order is normalized.  Outputs are connectives over the input's members, the
+alphabet's variables and constants, so they skip the alphabet walk.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .orders import (
     classes_of,
     member_formulas,
     ranked_masks,
+    _trusted,
 )
 
 DEFAULT_LENGTH_CAP = 4096
@@ -89,7 +91,7 @@ def normalize_level(order: LevelOrder) -> LevelOrder:
             kept.append(trimmed)
     if covered != full:
         kept.append(Not(disjoin(kept)) if kept else TRUE)
-    return LevelOrder(alphabet, tuple(kept), normalized=True)
+    return _trusted(LevelOrder, alphabet, kept, normalized=True)
 
 
 def natural_to_level(order: NaturalOrder, lenient: bool = False) -> LevelOrder:
@@ -125,7 +127,7 @@ def natural_to_level(order: NaturalOrder, lenient: bool = False) -> LevelOrder:
         left_behind = _conjoined(_negated(f), target)
         members = [promoted, *members[:c], left_behind, *members[c + 1 :]]
         masks = [sat & target_mask, *masks[:c], target_mask & ~sat & full, *masks[c + 1 :]]
-    return LevelOrder(alphabet, tuple(members))
+    return _trusted(LevelOrder, alphabet, members)
 
 
 def lex_to_level(
@@ -157,21 +159,21 @@ def lex_to_level(
             )
         members = [_conjoined(head, tail) for head, tail, _ in pairs]
         masks = [mask for _, _, mask in pairs]
-    return LevelOrder(alphabet, tuple(members), normalized=prune)
+    return _trusted(LevelOrder, alphabet, members, normalized=prune)
 
 
 def level_to_natural(order: LevelOrder) -> NaturalOrder:
     """Normalize if needed, then reuse the very same member sequence as a
     natural-revision history."""
     source = order if order.normalized or is_normalized(order) else normalize_level(order)
-    return NaturalOrder(order.alphabet, source.levels)
+    return _trusted(NaturalOrder, order.alphabet, source.levels)
 
 
 def level_to_lex(order: LevelOrder) -> LexOrder:
     """Normalize if needed, then reuse the very same member sequence as a
     lexicographic-revision history."""
     source = order if order.normalized or is_normalized(order) else normalize_level(order)
-    return LexOrder(order.alphabet, source.levels)
+    return _trusted(LexOrder, order.alphabet, source.levels)
 
 
 def explicit_to_level(order: ExplicitOrder) -> LevelOrder:
@@ -180,7 +182,7 @@ def explicit_to_level(order: ExplicitOrder) -> LevelOrder:
     members = tuple(
         formula_from_models(cls, order.alphabet) for cls in partition.classes
     )
-    return LevelOrder(order.alphabet, members, normalized=True)
+    return _trusted(LevelOrder, order.alphabet, members, normalized=True)
 
 
 def to_explicit(order: AnyOrder) -> ExplicitOrder:

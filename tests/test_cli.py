@@ -392,3 +392,29 @@ class TestUsage:
         with pytest.raises(SystemExit) as err:
             main(["translate", data("lex_ab.ord")])
         assert err.value.code == 2
+
+
+class TestLoadWithoutSecondWalk:
+    @pytest.mark.parametrize("name", [n for n in TestGoldenCorpus.CORPUS if "explicit" not in n])
+    def test_documents_load_without_walking_their_members(self, monkeypatch, name):
+        text = (DATA / name).read_text(encoding="utf-8")
+
+        def walked(alphabet, formulas):
+            raise AssertionError("members were walked again")
+
+        monkeypatch.setattr(orders, "_check_formulas", walked)
+        order = load_document(text)
+        monkeypatch.undo()
+        assert order == type(order)(order.alphabet, dx.member_formulas(order))
+        assert serialize(order) == text
+
+    def test_an_undeclared_variable_still_exits_four_with_its_line(self, tmp_path, capsys):
+        path = write(
+            tmp_path,
+            "stray.ord",
+            "doxastic v1\nkind: natural\nvars: a b\nformula: a\n\nformula: b & (c | a)\n",
+        )
+        assert main(["check", path]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 6: undeclared variable 'c' (at position 5)\n"

@@ -530,3 +530,59 @@ class TestMemberBitmaps:
             for i in abc.models():
                 for j in abc.models():
                     assert dx.leq(order, i, j) == naive_leq_natural(abc, members, i, j)
+
+
+
+class TestTrustedOutputs:
+    """Orders whose members are built only from nodes already checked against
+    the alphabet skip the constructor's walk, and equal what it builds."""
+
+    @staticmethod
+    def forbid_walks(monkeypatch):
+        def walked(alphabet, formulas):
+            raise AssertionError("members were walked again")
+
+        monkeypatch.setattr(orders_module, "_check_formulas", walked)
+
+    @staticmethod
+    def rebuilt(order):
+        """The same order through its public constructor."""
+        if isinstance(order, dx.LevelOrder):
+            return dx.LevelOrder(order.alphabet, order.levels, normalized=order.normalized)
+        return type(order)(order.alphabet, order.history)
+
+    def test_translations_and_revisions_walk_no_member(self, monkeypatch):
+        rng = random.Random(41)
+        abc = alphabet_of(3)
+        for _ in range(20):
+            members = tuple(random_formula(rng, abc, 3) for _ in range(3))
+            lex, natural, level = (
+                kind(abc, members) for kind in (dx.LexOrder, dx.NaturalOrder, dx.LevelOrder)
+            )
+            formula = random_formula(rng, abc, 2)
+            self.forbid_walks(monkeypatch)
+            normal = dx.normalize_level(level)
+            outputs = [
+                dx.lex_to_level(lex),
+                dx.lex_to_level(lex, prune=True),
+                dx.natural_to_level(natural, lenient=True),
+                normal,
+                dx.level_to_lex(level),
+                dx.level_to_natural(level),
+                dx.explicit_to_level(dx.to_explicit(level)),
+                dx.revise_lex_history(lex, formula),
+                dx.revise_natural_history(natural, formula),
+                dx.revise_level_lexicographically(normal, formula, prune=True),
+            ]
+            if dx.is_consistent(formula, abc):
+                outputs.append(dx.revise_level_naturally(normal, formula))
+            monkeypatch.undo()
+            for output in outputs:
+                assert output == self.rebuilt(output)
+                assert repr(output) == repr(self.rebuilt(output))
+
+    def test_public_constructors_still_walk(self, monkeypatch):
+        self.forbid_walks(monkeypatch)
+        for kind in (dx.LevelOrder, dx.LexOrder, dx.NaturalOrder):
+            with pytest.raises(AssertionError):
+                kind(AB, (f("a"),))
