@@ -10,10 +10,9 @@ order must carry one member per class.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 from .errors import DoxasticError
-from .formula import Alphabet, Var, node_count
+from .formula import Alphabet, Var, _Record, node_count
 from .orders import (
     AnyOrder,
     LevelOrder,
@@ -27,14 +26,11 @@ from .orders import (
 from .translate import lex_to_level, order_size
 
 
-@dataclass(frozen=True)
-class SizeReport:
+class SizeReport(_Record, fields=("kind", "formulas", "nodes", "classes")):
     """Size and class statistics of one order."""
 
-    kind: str
-    formulas: int
-    nodes: int
-    classes: int
+    def __init__(self, kind: str, formulas: int, nodes: int, classes: int) -> None:
+        self.kind, self.formulas, self.nodes, self.classes = kind, formulas, nodes, classes
 
 
 def _class_count(order: AnyOrder) -> int:
@@ -58,15 +54,12 @@ def class_bound_check(order: LevelOrder | NaturalOrder) -> bool:
     return _class_count(order) <= len(member_formulas(order)) + 1
 
 
-@dataclass(frozen=True)
-class BlowupRow:
+class BlowupRow(_Record, fields=("n", "lex_size", "classes", "level_len", "millis")):
     """One measurement of the lexicographic-to-level translation gap."""
 
-    n: int
-    lex_size: int
-    classes: int
-    level_len: int
-    millis: float
+    def __init__(self, n: int, lex_size: int, classes: int, level_len: int, millis: float):
+        self.n, self.lex_size, self.classes = n, lex_size, classes
+        self.level_len, self.millis = level_len, millis
 
 
 def blowup_experiment(max_n: int) -> list[BlowupRow]:

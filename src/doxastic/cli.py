@@ -19,10 +19,8 @@ package, never a property of the input.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import asdict
-from pathlib import Path
+from operator import attrgetter
 
 from .analysis import blowup_experiment, format_blowup_table
 from .errors import (
@@ -150,8 +148,9 @@ def serialize(order: AnyOrder) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_order(path: str | Path, validate: bool = True) -> AnyOrder:
-    data = Path(path).read_bytes()
+def load_order(path, validate: bool = True) -> AnyOrder:
+    with open(path, "rb") as file:
+        data = file.read()
     try:
         return load_document(data.decode("utf-8"), validate=validate)
     except UnicodeDecodeError as exc:
@@ -212,8 +211,8 @@ def _cmd_equiv(args) -> int:
 
 def _cmd_classes(args) -> int:
     partition = classes_of(load_order(args.file))
-    for cls in partition.classes:
-        print(" ".join(str(model) for model in sorted(cls)))
+    for cls in partition.classes:  # of one width: in position order, as bit tuples
+        print(" ".join(str(model) for model in sorted(cls, key=attrgetter("position"))))
     return 0
 
 
@@ -258,8 +257,9 @@ def _cmd_revise(args) -> int:
 def _cmd_blowup(args) -> int:
     rows = blowup_experiment(args.max_n)
     if args.json:
+        import json  # only this output needs it
         for row in rows:
-            print(json.dumps(asdict(row)))  # the row's fields, in order
+            print(json.dumps({name: getattr(row, name) for name in row._fields}))
     else:
         print(format_blowup_table(rows))
     return 0

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from functools import cached_property, lru_cache, partial, total_ordering
-from typing import Iterable, Iterator
+from operator import attrgetter
 
 from .errors import (
     AlphabetMismatchError,
@@ -28,8 +28,30 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _KEYWORDS = frozenset({"true", "false"})
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class _Record:
+    """Base of the value records: their `fields`, a class keyword, make the
+    equality (same class only), hash and repr a frozen dataclass's were.
+    Memos live in the `__dict__` beside the fields.  Assignment is not
+    refused; `dataclasses.fields`, `asdict` and `replace` do not apply."""
+
+    def __init_subclass__(cls, fields: tuple[str, ...]) -> None:
+        cls._fields, cls._key = fields, attrgetter(*fields)  # called as `self._key(self)`
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+
+class Alphabet(_Record, fields=("vars", "cap")):
     """Ordered, duplicate-free sequence of variable names.
 
     The order is significant: it fixes the meaning of model bitstrings.
@@ -37,11 +59,8 @@ class Alphabet:
     alphabet is longer than `cap`.
     """
 
-    vars: tuple[str, ...]
-    cap: int = DEFAULT_ENUMERATION_CAP
-
-    def __post_init__(self):
-        object.__setattr__(self, "vars", tuple(self.vars))
+    def __init__(self, vars: Iterable[str], cap: int = DEFAULT_ENUMERATION_CAP) -> None:
+        self.vars, self.cap = tuple(vars), cap
         for name in self.vars:
             if not _IDENT_RE.fullmatch(name) or name in _KEYWORDS:
                 raise ValueError(f"invalid variable name {name!r}")
@@ -145,9 +164,16 @@ def _model(position: int, width: int, _new=object.__new__) -> Model:
 
 class Formula:
     """Base class for formula syntax nodes.  Equality is structural and the
-    hash is memoized on each node; both cost the shared nodes, not the tree."""
+    hash is memoized on each node; both cost the shared nodes, not the tree.
 
-    __slots__ = ()
+    Nodes are `__slots__` classes: their `_fields`, then the memos `_hash`
+    and `_bitmap`.  Constructors set the memos to None, as an unset slot is
+    slow to read with a default; a constant or an unpickled node may still
+    lack them.  Nodes pickle as their fields.  Assignment is not refused;
+    `dataclasses.fields`, `asdict` and `replace` do not apply."""
+
+    __slots__ = ("_hash", "_bitmap")
+    _fields: tuple[str, ...] = ()
 
     def __hash__(self) -> int:
         value = getattr(self, "_hash", None)
@@ -158,7 +184,11 @@ class Formula:
 
     def __getstate__(self) -> dict:
         # Fields only: a memoized hash holds only in the process that made it.
-        return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
+        return {name: getattr(self, name) for name in self._fields}
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Formula):
@@ -172,48 +202,52 @@ class Formula:
         return f"<{type(self).__name__} {render(self)}>"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Var(Formula):
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self._hash = self._bitmap = None
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class TrueConst(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class FalseConst(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Not(Formula):
-    operand: Formula
+    __slots__ = _fields = ("operand",)
+
+    def __init__(self, operand: Formula) -> None:
+        self.operand = operand
+        self._hash = self._bitmap = None
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class And(Formula):
-    left: Formula
-    right: Formula
+class _Binary(Formula):
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula) -> None:
+        self.left, self.right = left, right
+        self._hash = self._bitmap = None
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class And(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Implies(Formula):
-    left: Formula
-    right: Formula
+class Or(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Iff(Formula):
-    left: Formula
-    right: Formula
+class Implies(_Binary):
+    __slots__ = ()
+
+
+class Iff(_Binary):
+    __slots__ = ()
 
 
 TRUE = TrueConst()
@@ -274,11 +308,8 @@ def _shape(node: Formula, operands: tuple) -> tuple:
     return (Var, node.name) if type(node) is Var else (type(node), *operands)
 
 
-# Node memos are read with getattr and set with object.__setattr__: on
-# CPython 3.11+, touching `node.__dict__` gives each node a dict object.
 def _hash_node(node: Formula, *operand_hashes: int) -> int:
-    value = hash(_shape(node, operand_hashes))
-    object.__setattr__(node, "_hash", value)
+    node._hash = value = hash(_shape(node, operand_hashes))
     return value
 
 
@@ -467,7 +498,7 @@ def truth_bitmap(formula: Formula, alphabet: Alphabet) -> int:
     known = [_known_bitmap(alphabet, operand) for operand in _operands(formula)]
     if known and None not in known:
         bits = _CONNECTIVES[type(formula)](_full_mask(width), *known)
-        object.__setattr__(formula, "_bitmap", (alphabet, bits))
+        formula._bitmap = (alphabet, bits)
         return bits
     alphabet.require_enumerable()
     full = _full_mask(width)
@@ -477,7 +508,7 @@ def truth_bitmap(formula: Formula, alphabet: Alphabet) -> int:
             bits = _variable_mask(width, alphabet.position(node.name))
         else:
             bits = _CONNECTIVES[type(node)](full, *operands)
-        object.__setattr__(node, "_bitmap", (alphabet, bits))
+        node._bitmap = (alphabet, bits)
         return bits
 
     return _fold((formula,), visit, partial(_known_bitmap, alphabet))[id(formula)]

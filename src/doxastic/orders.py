@@ -10,27 +10,30 @@ directly and are the semantic ground truth for the whole package.
 bitmasks over model positions, most plausible first.  `classes_by_stripping`
 builds classes from the definition instead, as the tests' reference.
 
-Orders keep what they derive from their members: member bitmaps (level,
-lexicographic), promotion masks and classes (natural), validation
-(explicit).  A prepend extends them by one step and walks no older member;
-a level revision hands over bitmaps it got one connective per new member.
-The alphabet check on members stops at nodes holding a bitmap for an equal
-alphabet.  Orders built by connectives over checked members, the alphabet's
-variables and constants (translations, revisions, loads) skip it: `_trusted`.
+Orders and the other records are plain classes (`formula._Record`): their
+fields make their equality, hash and repr; assignment is not refused.  Each
+order keeps what it derives from its members in its `__dict__`, beside the
+fields: member bitmaps (level, lexicographic), promotion masks and classes
+(natural), validation (explicit).  A prepend extends them by one step and
+walks no older member; a level revision hands over bitmaps it got one
+connective per new member.  The alphabet check on members stops at nodes
+holding a bitmap for an equal alphabet.  Orders built by connectives over
+checked members, the alphabet's variables and constants (translations,
+revisions, loads) skip it: `_trusted`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat, zip_longest
-from typing import Callable, Iterator, Union
+from collections.abc import Callable, Iterable, Iterator
 
 from .errors import AlphabetMismatchError, NotAPreorderError, UndeclaredVariableError
 from .formula import (
     Alphabet,
     Formula,
     Model,
+    _Record,
     _full_mask,
     _model,
     _variables,
@@ -70,16 +73,12 @@ def _promote(classes: list[int], sat: int) -> int:
     return promoted
 
 
-@dataclass(frozen=True)
-class ExplicitOrder:
+class ExplicitOrder(_Record, fields=("alphabet", "pairs")):
     """A preorder written out as the set of pairs (i, j) with i <= j."""
 
-    alphabet: Alphabet
-    pairs: frozenset[tuple[Model, Model]]
-
-    def __post_init__(self):
-        object.__setattr__(self, "pairs", frozenset(self.pairs))
-        width = len(self.alphabet)
+    def __init__(self, alphabet: Alphabet, pairs: Iterable[tuple[Model, Model]]) -> None:
+        self.alphabet, self.pairs = alphabet, frozenset(pairs)
+        width = len(alphabet)
         for i, j in self.pairs:
             if i.width != width or j.width != width:
                 raise AlphabetMismatchError(
@@ -92,8 +91,7 @@ class ExplicitOrder:
         return validate_explicit(self)
 
 
-@dataclass(frozen=True)
-class LevelOrder:
+class LevelOrder(_Record, fields=("alphabet", "levels", "normalized")):
     """Plausibility levels: members of the first formula's class come first.
 
     The stored sequence is unconstrained.  A model's rank is the least index
@@ -102,38 +100,30 @@ class LevelOrder:
     consistent members covering the whole model space.
     """
 
-    alphabet: Alphabet
-    levels: tuple[Formula, ...]
-    normalized: bool = False
+    normalized = False  # also for orders made by `_trusted` without it
 
-    def __post_init__(self):
-        object.__setattr__(self, "levels", _check_formulas(self.alphabet, self.levels))
+    def __init__(self, alphabet: Alphabet, levels: Iterable[Formula], normalized: bool = False):
+        self.alphabet = alphabet
+        self.levels = _check_formulas(alphabet, levels)
+        self.normalized = normalized
 
     _bitmaps = cached_property(_member_bitmaps)
 
 
-@dataclass(frozen=True)
-class LexOrder:
+class LexOrder(_Record, fields=("alphabet", "history")):
     """History of lexicographic revisions, most recent first."""
 
-    alphabet: Alphabet
-    history: tuple[Formula, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "history", _check_formulas(self.alphabet, self.history))
+    def __init__(self, alphabet: Alphabet, history: Iterable[Formula]) -> None:
+        self.alphabet, self.history = alphabet, _check_formulas(alphabet, history)
 
     _bitmaps = cached_property(_member_bitmaps)
 
 
-@dataclass(frozen=True)
-class NaturalOrder:
+class NaturalOrder(_Record, fields=("alphabet", "history")):
     """History of natural revisions, most recent first."""
 
-    alphabet: Alphabet
-    history: tuple[Formula, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "history", _check_formulas(self.alphabet, self.history))
+    def __init__(self, alphabet: Alphabet, history: Iterable[Formula]) -> None:
+        self.alphabet, self.history = alphabet, _check_formulas(alphabet, history)
 
     @cached_property
     def _promotion(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -156,9 +146,8 @@ def _trusted(kind, alphabet: Alphabet, members, **fields):
     """An order of `kind` over members built only from nodes checked against
     `alphabet` already, made without the constructor's walk.  `fields` may
     set `normalized` and memos the caller derived by the formula rule."""
-    order = object.__new__(kind)
-    field = "levels" if kind is LevelOrder else "history"
-    vars(order).update({"alphabet": alphabet, field: tuple(members)}, **fields)
+    order = object.__new__(kind)  # its members' field follows the alphabet
+    vars(order).update({"alphabet": alphabet, kind._fields[1]: tuple(members)}, **fields)
     return order
 
 
@@ -176,19 +165,15 @@ def _prepended(order: LexOrder | NaturalOrder, formula: Formula) -> LexOrder | N
     return _trusted(type(order), alphabet, (formula, *order.history), **extended)
 
 
-AnyOrder = Union[ExplicitOrder, LevelOrder, LexOrder, NaturalOrder]
+AnyOrder = ExplicitOrder | LevelOrder | LexOrder | NaturalOrder
 
 
-@dataclass(frozen=True)
-class ClassPartition:
+class ClassPartition(_Record, fields=("alphabet", "classes")):
     """Equivalence classes of an order, most plausible class first."""
 
-    alphabet: Alphabet
-    classes: tuple[frozenset[Model], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "classes", tuple(frozenset(c) for c in self.classes))
-        width = len(self.alphabet)
+    def __init__(self, alphabet: Alphabet, classes: Iterable[Iterable[Model]]) -> None:
+        self.alphabet, self.classes = alphabet, tuple(frozenset(c) for c in classes)
+        width = len(alphabet)
         total = 0
         union: set[Model] = set()
         for cls in self.classes:
@@ -213,12 +198,11 @@ class ClassPartition:
         raise KeyError(str(model))
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Record, fields=("kind", "models")):
     """One witnessed failure of the connected-preorder axioms."""
 
-    kind: str  # "reflexivity" | "transitivity" | "connectedness"
-    models: tuple[Model, ...]
+    def __init__(self, kind: str, models: tuple[Model, ...]) -> None:
+        self.kind, self.models = kind, models  # "reflexivity", "transitivity" or "connectedness"
 
     def __str__(self) -> str:
         shown = ", ".join(str(m) for m in self.models)
@@ -385,7 +369,11 @@ def classes_of(order: AnyOrder) -> ClassPartition:
     rest, and so on.  Decoded from `ranked_masks`."""
     width = len(order.alphabet)
     classes = tuple(
-        frozenset(map(_model, bit_positions(mask), repeat(width)))
+        # A one-model class, as each is on a lexicographic history of the
+        # variables, is decoded without walking its whole 2^n-bit mask.
+        frozenset((_model(mask.bit_length() - 1, width),))
+        if mask & (mask - 1) == 0
+        else frozenset(map(_model, bit_positions(mask), repeat(width)))
         for mask in ranked_masks(order)
     )
     return ClassPartition(order.alphabet, classes)

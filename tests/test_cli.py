@@ -418,3 +418,23 @@ class TestLoadWithoutSecondWalk:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: line 6: undeclared variable 'c' (at position 5)\n"
+
+
+class TestReadingFiles:
+    def test_a_directory_exits_two_naming_it(self, tmp_path, capsys):
+        assert main(["classes", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+
+    def test_an_unreadable_file_exits_two(self, monkeypatch, capsys):
+        def refused(path, mode="r"):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr(cli, "open", refused, raising=False)
+        assert main(["check", data("lex_ab.ord")]) == 2
+        assert capsys.readouterr().err.startswith("error: [Errno 13] Permission denied")
+
+    def test_a_document_that_is_not_utf8_names_its_line_and_byte(self, tmp_path, capsys):
+        path = tmp_path / "binary.ord"
+        path.write_bytes(b"doxastic v1\nkind: level\nvars: a\nformula: \xff\xfe a\n")
+        assert main(["classes", str(path)]) == 4
+        assert capsys.readouterr().err == "error: line 4: not UTF-8 text: invalid start byte at byte 41\n"
