@@ -34,9 +34,9 @@ from .formula import Alphabet, Model, parse, render
 from .orders import (
     AnyOrder,
     ExplicitOrder,
-    LevelOrder,
     LexOrder,
     NaturalOrder,
+    _BY_KIND,
     _trusted,
     classes_of,
     equivalent,
@@ -61,8 +61,7 @@ from .translate import (
 )
 
 MAGIC = "doxastic v1"
-KINDS = ("explicit", "level", "lexicographic", "natural")
-_MEMBER_KINDS = {"level": LevelOrder, "lexicographic": LexOrder, "natural": NaturalOrder}
+KINDS = tuple(_BY_KIND)
 
 
 def load_document(text: str, validate: bool = True) -> AnyOrder:
@@ -133,14 +132,17 @@ def load_document(text: str, validate: bool = True) -> AnyOrder:
             raise NotAPreorderError(order._violations)
         return order
     # `parse` refused every undeclared variable: the members need no second walk.
-    return _trusted(_MEMBER_KINDS[kind], alphabet, formulas)
+    return _trusted(_BY_KIND[kind], alphabet, formulas)
 
 
 def serialize(order: AnyOrder) -> str:
     """Canonical document text; `load_document` inverts it exactly."""
     lines = [MAGIC, f"kind: {kind_of(order)}", f"vars: {' '.join(order.alphabet.vars)}"]
     if isinstance(order, ExplicitOrder):
-        for first, second in sorted(order.pairs):
+        if not order.alphabet.vars:
+            raise DoxasticError("an explicit order over no variables has no v1 form")
+        # Of one width, models sort as their positions do.
+        for first, second in sorted(order.pairs, key=lambda p: (p[0].position, p[1].position)):
             lines.append(f"pair: {first} {second}")
     else:
         for member in member_formulas(order):
@@ -159,7 +161,8 @@ def load_order(path, validate: bool = True) -> AnyOrder:
 
 
 def translate_order(order: AnyOrder, target: str, prune: bool) -> AnyOrder:
-    """Translate to level once, then from level to the target kind."""
+    """Translate to level once, then from level to the target kind.  Only a
+    level target keeps an unpruned lexicographic unfolding's empty members."""
     if target not in KINDS:
         raise ValueError(f"unknown target kind '{target}'")
     if target == kind_of(order) and target != "level":
@@ -171,7 +174,7 @@ def translate_order(order: AnyOrder, target: str, prune: bool) -> AnyOrder:
     elif isinstance(order, NaturalOrder):
         level = natural_to_level(order, lenient=True)  # inert formulas are dropped
     elif isinstance(order, LexOrder):
-        level = lex_to_level(order, prune=prune)
+        level = lex_to_level(order, prune=prune or target != "level")
     else:
         level = normalize_level(order)
     if target == "natural":

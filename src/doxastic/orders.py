@@ -76,6 +76,8 @@ def _promote(classes: list[int], sat: int) -> int:
 class ExplicitOrder(_Record, fields=("alphabet", "pairs")):
     """A preorder written out as the set of pairs (i, j) with i <= j."""
 
+    kind = "explicit"
+
     def __init__(self, alphabet: Alphabet, pairs: Iterable[tuple[Model, Model]]) -> None:
         self.alphabet, self.pairs = alphabet, frozenset(pairs)
         width = len(alphabet)
@@ -100,6 +102,7 @@ class LevelOrder(_Record, fields=("alphabet", "levels", "normalized")):
     consistent members covering the whole model space.
     """
 
+    kind = "level"
     normalized = False  # also for orders made by `_trusted` without it
 
     def __init__(self, alphabet: Alphabet, levels: Iterable[Formula], normalized: bool = False):
@@ -113,6 +116,8 @@ class LevelOrder(_Record, fields=("alphabet", "levels", "normalized")):
 class LexOrder(_Record, fields=("alphabet", "history")):
     """History of lexicographic revisions, most recent first."""
 
+    kind = "lexicographic"
+
     def __init__(self, alphabet: Alphabet, history: Iterable[Formula]) -> None:
         self.alphabet, self.history = alphabet, _check_formulas(alphabet, history)
 
@@ -121,6 +126,8 @@ class LexOrder(_Record, fields=("alphabet", "history")):
 
 class NaturalOrder(_Record, fields=("alphabet", "history")):
     """History of natural revisions, most recent first."""
+
+    kind = "natural"
 
     def __init__(self, alphabet: Alphabet, history: Iterable[Formula]) -> None:
         self.alphabet, self.history = alphabet, _check_formulas(alphabet, history)
@@ -166,6 +173,7 @@ def _prepended(order: LexOrder | NaturalOrder, formula: Formula) -> LexOrder | N
 
 
 AnyOrder = ExplicitOrder | LevelOrder | LexOrder | NaturalOrder
+_BY_KIND = {order.kind: order for order in AnyOrder.__args__}  # the one kind table
 
 
 class ClassPartition(_Record, fields=("alphabet", "classes")):
@@ -210,26 +218,14 @@ class Violation(_Record, fields=("kind", "models")):
 
 
 def kind_of(order: AnyOrder) -> str:
-    if isinstance(order, ExplicitOrder):
-        return "explicit"
-    if isinstance(order, LevelOrder):
-        return "level"
-    if isinstance(order, LexOrder):
-        return "lexicographic"
-    if isinstance(order, NaturalOrder):
-        return "natural"
+    if isinstance(order, AnyOrder):
+        return order.kind
     raise TypeError(f"not an order: {order!r}")
 
 
 def member_formulas(order: AnyOrder) -> tuple[Formula, ...]:
     """The formula sequence of an order; empty for explicit orders."""
-    if isinstance(order, LevelOrder):
-        return order.levels
-    if isinstance(order, (LexOrder, NaturalOrder)):
-        return order.history
-    if isinstance(order, ExplicitOrder):
-        return ()
-    raise TypeError(f"not an order: {order!r}")
+    return () if kind_of(order) == "explicit" else getattr(order, order._fields[1])
 
 
 def _require_members(order: AnyOrder, i: Model, j: Model) -> None:
@@ -326,12 +322,13 @@ def ranked_masks(order: AnyOrder) -> Iterator[int]:
     alphabet = order.alphabet
     alphabet.require_enumerable()
     full = _full_mask(len(alphabet))
-    if isinstance(order, (LevelOrder, NaturalOrder)):
-        # A model's class is the first member that holds it, or the newest
-        # revision that promoted it; models no mask covers come last.
-        masks = order._bitmaps if isinstance(order, LevelOrder) else order._promotion[0]
+    if isinstance(order, NaturalOrder):
+        yield from order._promotion[1]  # kept up by every promotion
+    elif isinstance(order, LevelOrder):
+        # A model's class is the first member that holds it; models no
+        # member holds come last.
         covered = 0
-        for mask in masks:
+        for mask in order._bitmaps:
             if mask & ~covered:
                 yield mask & ~covered
                 covered |= mask
@@ -414,7 +411,7 @@ def validate_explicit(order: ExplicitOrder) -> list[Violation]:
     """All reflexivity, transitivity, and connectedness failures, in model order."""
     alphabet = order.alphabet
     alphabet.require_enumerable()
-    size = 1 << len(alphabet)
+    size, full = 1 << len(alphabet), _full_mask(len(alphabet))
     rows = [0] * size
     for i, j in order.pairs:
         rows[i.position] |= 1 << j.position
@@ -424,13 +421,10 @@ def validate_explicit(order: ExplicitOrder) -> list[Violation]:
         if not rows[p] >> p & 1:
             violations.append(Violation("reflexivity", (alphabet.model_at(p),)))
     for p in range(size):
-        for q in range(p + 1, size):
-            if not (rows[p] >> q & 1 or rows[q] >> p & 1):
-                violations.append(
-                    Violation(
-                        "connectedness", (alphabet.model_at(p), alphabet.model_at(q))
-                    )
-                )
+        for q in bit_positions(~rows[p] & full >> p + 1 << p + 1):  # each q > p with p not <= q
+            if not rows[q] >> p & 1:
+                models = (alphabet.model_at(p), alphabet.model_at(q))
+                violations.append(Violation("connectedness", models))
     for p in range(size):
         reachable = 0
         for q in bit_positions(rows[p]):
@@ -440,14 +434,6 @@ def validate_explicit(order: ExplicitOrder) -> list[Violation]:
             continue
         for q in bit_positions(rows[p]):
             for r in bit_positions(rows[q] & missing):
-                violations.append(
-                    Violation(
-                        "transitivity",
-                        (
-                            alphabet.model_at(p),
-                            alphabet.model_at(q),
-                            alphabet.model_at(r),
-                        ),
-                    )
-                )
+                models = (alphabet.model_at(p), alphabet.model_at(q), alphabet.model_at(r))
+                violations.append(Violation("transitivity", models))
     return violations

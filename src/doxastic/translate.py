@@ -10,8 +10,6 @@ alphabet's variables and constants, so they skip the alphabet walk.
 
 from __future__ import annotations
 
-from itertools import chain
-
 from .errors import InconsistentRevisionError, LengthCapExceededError
 from .formula import (
     And,
@@ -19,6 +17,7 @@ from .formula import (
     Not,
     TRUE,
     TrueConst,
+    bit_positions,
     disjoin,
     formula_from_models,
     node_count,
@@ -31,7 +30,6 @@ from .orders import (
     LevelOrder,
     LexOrder,
     NaturalOrder,
-    classes_of,
     member_formulas,
     ranked_masks,
     _trusted,
@@ -176,20 +174,24 @@ def level_to_lex(order: LevelOrder) -> LexOrder:
     return _trusted(LexOrder, order.alphabet, source.levels)
 
 
+def _ranked_models(order: AnyOrder) -> list[frozenset]:
+    """Each class's models, most plausible class first.  As frozensets, they
+    lay out pairs, and pickles of the pair set, as they always were."""
+    models = order.alphabet.models()
+    return [frozenset(map(models.__getitem__, bit_positions(m))) for m in ranked_masks(order)]
+
+
 def explicit_to_level(order: ExplicitOrder) -> LevelOrder:
     """One minterm-disjunction member per equivalence class, in class order."""
-    partition = classes_of(order)  # validates the preorder axioms
-    members = tuple(
-        formula_from_models(cls, order.alphabet) for cls in partition.classes
-    )
+    members = [formula_from_models(cls, order.alphabet) for cls in _ranked_models(order)]
     return _trusted(LevelOrder, order.alphabet, members, normalized=True)
 
 
 def to_explicit(order: AnyOrder) -> ExplicitOrder:
     """Materialize every pair (i, j) with i <= j."""
-    classes = classes_of(order).classes
+    classes = _ranked_models(order)
     pairs = frozenset(
-        (i, j) for k, cls in enumerate(classes) for i in cls for j in chain(*classes[k:])
+        (i, j) for k, cls in enumerate(classes) for i in cls for rest in classes[k:] for j in rest
     )
     return ExplicitOrder(order.alphabet, pairs)
 

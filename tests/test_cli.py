@@ -141,6 +141,40 @@ class TestTranslate:
         assert len(unpruned.levels) == 4
         assert len(pruned.levels) == 3
 
+    def test_natural_target_unfolds_pruned_without_the_flag(self, tmp_path, capsys):
+        # Unpruned, 13 revisions would need 2^13 members, over the length cap.
+        text = "doxastic v1\nkind: lexicographic\nvars: a b c\n" + "formula: a | b\n" * 13
+        path = write(tmp_path, "long.ord", text)
+        assert main(["translate", "--to", "natural", "--prune", path]) == 0
+        pruned = capsys.readouterr().out
+        assert main(["translate", "--to", "natural", path]) == 0
+        assert capsys.readouterr().out == pruned
+
+    ZERO_VARIABLES = "doxastic v1\nkind: level\nvars:\nformula: true\n"
+
+    @pytest.mark.parametrize("prune", [(), ("--prune",)], ids=["unpruned", "pruned"])
+    @pytest.mark.parametrize("target", cli.KINDS)
+    @pytest.mark.parametrize("name", [*TestGoldenCorpus.CORPUS, "zero_variables.ord"])
+    def test_every_written_document_loads_back_equivalent(
+        self, tmp_path, capsys, name, target, prune
+    ):
+        path = data(name) if (DATA / name).exists() else write(tmp_path, name, self.ZERO_VARIABLES)
+        code = main(["translate", "--to", target, *prune, path])
+        out = capsys.readouterr().out
+        if code != 0:
+            assert out == ""
+            return
+        assert dx.equivalent(load_document(out), load_order(path))
+
+    def test_an_explicit_order_over_no_variables_is_not_written(self, tmp_path, capsys):
+        path = write(tmp_path, "none.ord", self.ZERO_VARIABLES)
+        assert main(["translate", "--to", "explicit", path]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+        with pytest.raises(dx.DoxasticError):
+            serialize(dx.to_explicit(load_order(path)))
+
 
 class TestEquiv:
     def test_equivalent_pair_exits_zero(self, capsys):

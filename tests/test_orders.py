@@ -1,6 +1,7 @@
 """Comparison relations, equivalence classes, and preorder validation."""
 
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -237,6 +238,19 @@ class TestClassesOf:
                     alphabet, lambda i, j, order=order: dx.leq(order, i, j)
                 )
                 assert direct == stripped
+
+    def test_grown_natural_orders_match_the_stripping_construction(self):
+        # The classes a prepend extended, not recomputed, against the definition.
+        rng = random.Random(101)
+        for _ in range(20):
+            alphabet = alphabet_of(rng.randint(1, 4))
+            order = random_natural_order(rng, alphabet, max_len=3, max_depth=3)
+            dx.classes_of(order)  # the memo each revision below extends
+            for _ in range(4):
+                order = dx.revise_natural_history(order, random_formula(rng, alphabet, 3))
+                assert "_promotion" in vars(order)
+                stripped = dx.classes_by_stripping(alphabet, partial(dx.leq_natural, order))
+                assert dx.classes_of(order) == stripped
 
     def test_explicit_orders_are_validated_first(self):
         order = dx.ExplicitOrder(A, frozenset({(m("0"), m("0"))}))

@@ -1,11 +1,17 @@
 """The translation matrix: equivalence preservation and growth laws."""
 
+import pickle
 import random
+from itertools import chain
+from pathlib import Path
 
 import pytest
 
 import doxastic as dx
+from doxastic import orders as orders_module
+from doxastic.cli import load_order
 from doxastic.formula import dag_node_count
+from doxastic.orders import _trusted
 
 from conftest import (
     alphabet_of,
@@ -248,6 +254,56 @@ class TestToExplicit:
             alphabet = alphabet_of(rng.randint(1, 4))
             out = dx.to_explicit(random_lex_order(rng, alphabet, max_len=4, max_depth=3))
             assert dx.validate_explicit(out) == []
+
+
+class TestTranslationsReadMasks:
+    """`to_explicit` and `explicit_to_level` read `ranked_masks`: with no
+    `ClassPartition` to be had, they give what the route through one gave."""
+
+    @staticmethod
+    def orders():
+        corpus = sorted((Path(__file__).parent / "data").glob("*.ord"))
+        orders = [load_order(path) for path in corpus]
+        rng = random.Random(53)
+        for _ in range(4):
+            alphabet = alphabet_of(rng.randint(1, 4))
+            orders += [
+                random_level_order(rng, alphabet, max_len=4, max_depth=3),
+                random_lex_order(rng, alphabet, max_len=4, max_depth=3),
+                random_natural_order(rng, alphabet, max_len=4, max_depth=3),
+                random_explicit_order(rng, alphabet),
+            ]
+        return orders
+
+    @staticmethod
+    def through_partition(order):
+        """The outputs as they were made from the validated class partition."""
+        classes = dx.classes_of(order).classes
+        pairs = frozenset(
+            (i, j) for k, cls in enumerate(classes) for i in cls for j in chain(*classes[k:])
+        )
+        explicit = dx.ExplicitOrder(order.alphabet, pairs)
+        members = [
+            dx.formula_from_models(cls, order.alphabet) for cls in dx.classes_of(explicit).classes
+        ]
+        return explicit, _trusted(dx.LevelOrder, order.alphabet, members, normalized=True)
+
+    def test_no_partition_is_built(self, monkeypatch):
+        orders = self.orders()
+        expected = [self.through_partition(order) for order in orders]
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a ClassPartition was built")
+
+        monkeypatch.setattr(orders_module, "ClassPartition", refused)
+        for order, (explicit, level) in zip(orders, expected):
+            got_explicit = dx.to_explicit(order)
+            got_level = dx.explicit_to_level(got_explicit)
+            assert got_explicit == explicit and got_level == level
+            assert repr(got_level) == repr(level)
+            for protocol in (0, 4):
+                assert pickle.dumps(got_explicit, protocol) == pickle.dumps(explicit, protocol)
+                assert pickle.dumps(got_level, protocol) == pickle.dumps(level, protocol)
 
 
 class TestNaturalToLex:
