@@ -289,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     translate.add_argument(
         "--prune",
         action="store_true",
-        help="drop members without models during lexicographic unfolding",
+        help="drop the members without models when unfolding a lexicographic file "
+        "to level; no other target keeps them",
     )
     translate.add_argument("file")
     translate.set_defaults(func=_cmd_translate)

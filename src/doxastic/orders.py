@@ -7,8 +7,12 @@ of lexicographic or natural revisions (most recent revision first).  The
 `leq_*` functions implement each representation's inductive comparison
 directly and are the semantic ground truth for the whole package.
 `ranked_masks` is the one internal form of an order's classes: disjoint
-bitmasks over model positions, most plausible first.  `classes_by_stripping`
-builds classes from the definition instead, as the tests' reference.
+bitmasks over model positions, most plausible first.  On a lexicographic
+history a model's class is its column: its bits across the history's
+bitmaps as an int, the newest formula's bit the highest (`_lex_columns`);
+the classes are the distinct columns in descending order.
+`classes_by_stripping` builds classes from the definition instead, as the
+tests' reference.
 
 Orders and the other records are plain classes (`formula._Record`): their
 fields make their equality, hash and repr; assignment is not refused.  Each
@@ -24,9 +28,12 @@ revisions, loads) skip it: `_trusted`.
 
 from __future__ import annotations
 
+import sys
+from collections import defaultdict
 from functools import cached_property
 from itertools import repeat, zip_longest
-from collections.abc import Callable, Iterable, Iterator
+from operator import lshift, or_
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from .errors import AlphabetMismatchError, NotAPreorderError, UndeclaredVariableError
 from .formula import (
@@ -57,6 +64,51 @@ def _member_bitmaps(order) -> tuple[int, ...] | None:
     if len(alphabet) > alphabet.cap:
         return None
     return tuple(truth_bitmap(f, alphabet) for f in member_formulas(order))
+
+
+_WORD_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _lex_columns(maps: tuple[int, ...], width: int) -> Sequence[int]:
+    """Each model's column, indexed by model position: its bits across
+    `maps` as an int, the first map's bit the highest.  Up to 64 maps at a
+    time are written as one text of fixed-width fields, one per model, read
+    as one integer and cut into machine words: no Python code runs per model
+    except to join the batches of a history longer than 64."""
+    columns = None
+    for start in range(0, len(maps), 64):
+        batch = maps[start : start + 64]
+        size = 1 << ((len(batch) + 7) // 8 - 1).bit_length()  # bytes per field: 1, 2, 4 or 8
+        stride = 8 * size
+        table = bytearray(b"0") * (width * stride)
+        for k, sat in enumerate(batch, stride - len(batch)):
+            table[k::stride] = format(sat, f"0{width}b").encode()
+        packed = int(table, 2).to_bytes(width * size, sys.byteorder)
+        words = memoryview(packed).cast(_WORD_FORMATS[size])  # native byte order
+        if sys.byteorder == "big":
+            words = words[::-1]  # the most significant field, model width - 1's, came first
+        if columns is not None:
+            words = list(map(or_, map(lshift, columns, repeat(len(batch))), words))
+        columns = words
+    return [0] * width if columns is None else columns
+
+
+def _grouped_masks(keys: Sequence[int]) -> Iterator[int]:
+    """The positions of equal keys as one bitmask each, in descending key
+    order.  A single position is one shift; several set their bits in one
+    byte buffer, so each mask costs time linear in its width."""
+    positions = defaultdict(list)
+    for p, key in enumerate(keys):
+        positions[key].append(p)
+    for key in sorted(positions, reverse=True):
+        group = positions[key]
+        if len(group) == 1:
+            yield 1 << group[0]
+            continue
+        buffer = bytearray((group[-1] >> 3) + 1)
+        for p in group:
+            buffer[p >> 3] |= 1 << (p & 7)
+        yield int.from_bytes(buffer, "little")
 
 
 def _promote(classes: list[int], sat: int) -> int:
@@ -321,12 +373,12 @@ def ranked_masks(order: AnyOrder) -> Iterator[int]:
     before the first class is yielded."""
     alphabet = order.alphabet
     alphabet.require_enumerable()
-    full = _full_mask(len(alphabet))
     if isinstance(order, NaturalOrder):
         yield from order._promotion[1]  # kept up by every promotion
     elif isinstance(order, LevelOrder):
         # A model's class is the first member that holds it; models no
         # member holds come last.
+        full = _full_mask(len(alphabet))
         covered = 0
         for mask in order._bitmaps:
             if mask & ~covered:
@@ -335,17 +387,9 @@ def ranked_masks(order: AnyOrder) -> Iterator[int]:
         if covered != full:
             yield full & ~covered
     elif isinstance(order, LexOrder):
-        # Depth first, newest formula outermost, satisfying part first.
-        maps = order._bitmaps
-        parts = [(full, 0)]
-        while parts:
-            mask, depth = parts.pop()
-            if depth == len(maps):
-                yield mask
-                continue
-            for part in (mask & ~maps[depth], mask & maps[depth]):
-                if part:
-                    parts.append((part, depth + 1))
+        # One class per distinct column, in descending column order: a model
+        # the newest formula holds comes first, older formulas break ties.
+        yield from _grouped_masks(_lex_columns(order._bitmaps, 1 << len(alphabet)))
     elif isinstance(order, ExplicitOrder):
         if order._violations:
             raise NotAPreorderError(order._violations)
@@ -354,8 +398,7 @@ def ranked_masks(order: AnyOrder) -> Iterator[int]:
         above = [0] * (1 << len(alphabet))
         for i, _ in order.pairs:
             above[i.position] += 1
-        for count in sorted(set(above), reverse=True):
-            yield sum(1 << p for p, c in enumerate(above) if c == count)
+        yield from _grouped_masks(above)
     else:
         raise TypeError(f"not an order: {order!r}")
 
@@ -369,11 +412,15 @@ def classes_of(order: AnyOrder) -> ClassPartition:
         # A one-model class, as each is on a lexicographic history of the
         # variables, is decoded without walking its whole 2^n-bit mask.
         frozenset((_model(mask.bit_length() - 1, width),))
-        if mask & (mask - 1) == 0
+        if mask.bit_count() == 1
         else frozenset(map(_model, bit_positions(mask), repeat(width)))
         for mask in ranked_masks(order)
     )
-    return ClassPartition(order.alphabet, classes)
+    # `ranked_masks` makes the classes nonempty, disjoint and covering, of
+    # models of the alphabet's width: built without the constructor's checks.
+    partition = object.__new__(ClassPartition)
+    partition.alphabet, partition.classes = order.alphabet, classes
+    return partition
 
 
 def classes_by_stripping(

@@ -32,6 +32,7 @@ from .orders import (
     NaturalOrder,
     member_formulas,
     ranked_masks,
+    _lex_columns,
     _trusted,
 )
 
@@ -128,6 +129,18 @@ def natural_to_level(order: NaturalOrder, lenient: bool = False) -> LevelOrder:
     return _trusted(LevelOrder, alphabet, members)
 
 
+def _column_suffixes(order: LexOrder) -> list[set[int]]:
+    """Entry d holds the distinct columns (`orders._lex_columns`) of the d
+    oldest formulas as ints, the newest of them the high bit: the levels of
+    the trie of column suffixes, which are the nonempty members after d
+    steps of the unfolding."""
+    suffixes = [set(_lex_columns(order._bitmaps, 1 << len(order.alphabet)))]
+    for depth in reversed(range(len(order.history))):
+        low = (1 << depth) - 1
+        suffixes.append({suffix & low for suffix in suffixes[-1]})
+    return suffixes[::-1]
+
+
 def lex_to_level(
     order: LexOrder, prune: bool = False, length_cap: int = DEFAULT_LENGTH_CAP
 ) -> LevelOrder:
@@ -140,24 +153,26 @@ def lex_to_level(
     """
     alphabet = order.alphabet
     alphabet.require_enumerable()
-    full = _full_mask(len(alphabet))
-    members: list[Formula] = [TRUE]
-    masks: list[int] = [full]
-    for f in reversed(order.history):
-        sat = truth_bitmap(f, alphabet)
-        pairs = [
-            (head, tail, cut)
-            for head, part in ((f, sat), (_negated(f), full ^ sat))
-            for tail, mask in zip(members, masks)
-            if (cut := part & mask) or not prune
-        ]
-        if len(pairs) > length_cap:
+    suffixes = _column_suffixes(order) if prune else None
+    # Each member with its column suffix, the bits of the formulas so far;
+    # oldest first, members stay in descending suffix order.
+    members = [(TRUE, 0)]
+    for depth, f in enumerate(reversed(order.history)):
+        found = suffixes[depth + 1] if prune else None
+        count = len(found) if prune else 2 * len(members)
+        if count > length_cap:
             raise LengthCapExceededError(
-                f"translation needs {len(pairs)} members, over the cap of {length_cap}"
+                f"translation needs {count} members, over the cap of {length_cap}"
             )
-        members = [_conjoined(head, tail) for head, tail, _ in pairs]
-        masks = [mask for _, _, mask in pairs]
-    return _trusted(LevelOrder, alphabet, members, normalized=prune)
+        every = count == 2 * len(members)  # every member splits: nothing to look up
+        members = [  # `_conjoined(head, tail)`, inline as it runs once per member
+            (head if isinstance(tail, TrueConst) else And(head, tail), key)
+            for head, bit in ((f, 1 << depth), (_negated(f), 0))
+            for tail, suffix in members
+            for key in (suffix | bit,)
+            if every or key in found
+        ]
+    return _trusted(LevelOrder, alphabet, [member for member, _ in members], normalized=prune)
 
 
 def level_to_natural(order: LevelOrder) -> NaturalOrder:
