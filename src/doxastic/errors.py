@@ -30,7 +30,7 @@ class CapExceededError(DoxasticError):
 
 
 class LengthCapExceededError(DoxasticError):
-    """A translation would emit more member formulas than the configured limit."""
+    """A translation would emit more members or pairs than the configured limit."""
 
 
 class AlphabetMismatchError(DoxasticError):

@@ -25,6 +25,7 @@ from .errors import (
 DEFAULT_ENUMERATION_CAP = 20
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_ONE_RE = re.compile("1")  # `bit_positions`' scan
 _KEYWORDS = frozenset({"true", "false"})
 
 
@@ -528,21 +529,9 @@ truth_bitmap.cache_clear = _bitmap_counts.clear
 
 
 def bit_positions(mask: int) -> Iterator[int]:
-    """Positions of the set bits of `mask`, ascending.  A part still nonzero
-    after 64 bits is halved, so the cost stays linear in the mask's width."""
-    parts = [(mask, 0)]
-    while parts:
-        mask, base = parts.pop()
-        for _ in range(64):
-            if not mask:
-                break
-            low = mask & -mask
-            yield base + low.bit_length() - 1
-            mask ^= low
-        else:
-            if mask:
-                half = mask.bit_length() >> 1
-                parts += [(mask >> half, base + half), (mask & ((1 << half) - 1), base)]
+    """Positions of the set bits of `mask`, ascending: the ones of its binary
+    text, read from the low end by one C-level scan, linear in its width."""
+    return map(re.Match.start, _ONE_RE.finditer(format(mask, "b")[::-1]))
 
 
 # --- concrete syntax ----------------------------------------------------------

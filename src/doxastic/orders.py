@@ -9,8 +9,9 @@ directly and are the semantic ground truth for the whole package.
 `ranked_masks` is the one internal form of an order's classes: disjoint
 bitmasks over model positions, most plausible first.  On a lexicographic
 history a model's class is its column: its bits across the history's
-bitmaps as an int, the newest formula's bit the highest (`_lex_columns`);
-the classes are the distinct columns in descending order.
+bitmaps as an int, the newest formula's bit the highest, read as
+little-endian words (`_lex_columns`); the classes are the distinct columns
+in descending order.  `_model_classes` decodes class masks to models.
 `classes_by_stripping` builds classes from the definition instead, as the
 tests' reference.
 
@@ -28,7 +29,7 @@ revisions, loads) skip it: `_trusted`.
 
 from __future__ import annotations
 
-import sys
+import struct
 from collections import defaultdict
 from functools import cached_property
 from itertools import repeat, zip_longest
@@ -66,27 +67,22 @@ def _member_bitmaps(order) -> tuple[int, ...] | None:
     return tuple(truth_bitmap(f, alphabet) for f in member_formulas(order))
 
 
-_WORD_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
-
-
 def _lex_columns(maps: tuple[int, ...], width: int) -> Sequence[int]:
     """Each model's column, indexed by model position: its bits across
     `maps` as an int, the first map's bit the highest.  Up to 64 maps at a
     time are written as one text of fixed-width fields, one per model, read
-    as one integer and cut into machine words: no Python code runs per model
-    except to join the batches of a history longer than 64."""
+    as one integer and cut into little-endian words: no Python code runs per
+    model except to join the batches of a history longer than 64."""
     columns = None
     for start in range(0, len(maps), 64):
         batch = maps[start : start + 64]
-        size = 1 << ((len(batch) + 7) // 8 - 1).bit_length()  # bytes per field: 1, 2, 4 or 8
-        stride = 8 * size
+        level = ((len(batch) + 7) // 8 - 1).bit_length()  # words of 1, 2, 4 or 8 bytes
+        stride = 8 << level
         table = bytearray(b"0") * (width * stride)
         for k, sat in enumerate(batch, stride - len(batch)):
             table[k::stride] = format(sat, f"0{width}b").encode()
-        packed = int(table, 2).to_bytes(width * size, sys.byteorder)
-        words = memoryview(packed).cast(_WORD_FORMATS[size])  # native byte order
-        if sys.byteorder == "big":
-            words = words[::-1]  # the most significant field, model width - 1's, came first
+        packed = int(table, 2).to_bytes(width << level, "little")  # model 0's word first
+        words = struct.unpack(f"<{width}{'BHIQ'[level]}", packed)
         if columns is not None:
             words = list(map(or_, map(lshift, columns, repeat(len(batch))), words))
         columns = words
@@ -403,19 +399,24 @@ def ranked_masks(order: AnyOrder) -> Iterator[int]:
         raise TypeError(f"not an order: {order!r}")
 
 
-def classes_of(order: AnyOrder) -> ClassPartition:
-    """Equivalence classes in plausibility order: the first class holds the
-    models minimal under the comparison, the next the minimal among the
-    rest, and so on.  Decoded from `ranked_masks`."""
-    width = len(order.alphabet)
-    classes = tuple(
+def _model_classes(masks: Iterable[int], width: int) -> tuple[frozenset[Model], ...]:
+    """Each class mask's models, as frozensets: they lay out the pairs of
+    `translate.to_explicit`, and pickles of its pair set, as they always were."""
+    return tuple(
         # A one-model class, as each is on a lexicographic history of the
         # variables, is decoded without walking its whole 2^n-bit mask.
         frozenset((_model(mask.bit_length() - 1, width),))
         if mask.bit_count() == 1
         else frozenset(map(_model, bit_positions(mask), repeat(width)))
-        for mask in ranked_masks(order)
+        for mask in masks
     )
+
+
+def classes_of(order: AnyOrder) -> ClassPartition:
+    """Equivalence classes in plausibility order: the first class holds the
+    models minimal under the comparison, the next the minimal among the
+    rest, and so on.  Decoded from `ranked_masks`."""
+    classes = _model_classes(ranked_masks(order), len(order.alphabet))
     # `ranked_masks` makes the classes nonempty, disjoint and covering, of
     # models of the alphabet's width: built without the constructor's checks.
     partition = object.__new__(ClassPartition)

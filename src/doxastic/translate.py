@@ -17,7 +17,6 @@ from .formula import (
     Not,
     TRUE,
     TrueConst,
-    bit_positions,
     disjoin,
     formula_from_models,
     node_count,
@@ -33,10 +32,12 @@ from .orders import (
     member_formulas,
     ranked_masks,
     _lex_columns,
+    _model_classes,
     _trusted,
 )
 
 DEFAULT_LENGTH_CAP = 4096
+PAIR_CAP = 1 << 20  # pairs `to_explicit` may materialize
 
 
 def order_size(order: AnyOrder) -> int:
@@ -189,22 +190,26 @@ def level_to_lex(order: LevelOrder) -> LexOrder:
     return _trusted(LexOrder, order.alphabet, source.levels)
 
 
-def _ranked_models(order: AnyOrder) -> list[frozenset]:
-    """Each class's models, most plausible class first.  As frozensets, they
-    lay out pairs, and pickles of the pair set, as they always were."""
-    models = order.alphabet.models()
-    return [frozenset(map(models.__getitem__, bit_positions(m))) for m in ranked_masks(order)]
-
-
 def explicit_to_level(order: ExplicitOrder) -> LevelOrder:
     """One minterm-disjunction member per equivalence class, in class order."""
-    members = [formula_from_models(cls, order.alphabet) for cls in _ranked_models(order)]
+    classes = _model_classes(ranked_masks(order), len(order.alphabet))
+    members = [formula_from_models(cls, order.alphabet) for cls in classes]
     return _trusted(LevelOrder, order.alphabet, members, normalized=True)
 
 
 def to_explicit(order: AnyOrder) -> ExplicitOrder:
-    """Materialize every pair (i, j) with i <= j."""
-    classes = _ranked_models(order)
+    """Materialize every pair (i, j) with i <= j.  The pairs are counted
+    from the class sizes first; past `PAIR_CAP` none is built."""
+    masks = list(ranked_masks(order))
+    count, below = 0, 1 << len(order.alphabet)  # below: the models of this class and later ones
+    for size in map(int.bit_count, masks):
+        count += size * below
+        below -= size
+    if count > PAIR_CAP:
+        raise LengthCapExceededError(
+            f"translation needs {count} pairs, over the cap of {PAIR_CAP}"
+        )
+    classes = _model_classes(masks, len(order.alphabet))
     pairs = frozenset(
         (i, j) for k, cls in enumerate(classes) for i in cls for rest in classes[k:] for j in rest
     )

@@ -90,6 +90,15 @@ class TestBlowupExperiment:
         with pytest.raises(dx.CapExceededError):
             dx.blowup_experiment(21)
 
+    def test_a_width_past_the_cap_is_refused_before_classes_or_unfolding(self, monkeypatch):
+        def row_computed(*args, **kwargs):
+            raise AssertionError("a row was computed")
+
+        monkeypatch.setattr(dx.analysis, "ranked_masks", row_computed)
+        monkeypatch.setattr(dx.analysis, "lex_to_level", row_computed)
+        with pytest.raises(dx.CapExceededError):
+            dx.blowup_experiment(21)
+
     def test_table_has_one_line_per_row(self):
         rows = dx.blowup_experiment(4)
         table = dx.format_blowup_table(rows)

@@ -175,6 +175,15 @@ class TestTranslate:
         with pytest.raises(dx.DoxasticError):
             serialize(dx.to_explicit(load_order(path)))
 
+    def test_an_explicit_translation_over_the_pair_cap_exits_three(self, tmp_path, capsys):
+        names = " ".join(f"x{k}" for k in range(12))  # one class: 2^24 pairs
+        text = f"doxastic v1\nkind: level\nvars: {names}\nformula: true\n"
+        path = write(tmp_path, "tied.ord", text)
+        assert main(["translate", "--to", "explicit", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: translation needs 16777216 pairs, over the cap of 1048576\n"
+
 
 class TestEquiv:
     def test_equivalent_pair_exits_zero(self, capsys):

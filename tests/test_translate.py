@@ -2,6 +2,7 @@
 
 import pickle
 import random
+import tracemalloc
 from itertools import chain
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 
 import doxastic as dx
 from doxastic import orders as orders_module
+from doxastic import translate as translate_module
 from doxastic.cli import load_order
 from doxastic.formula import dag_node_count
 from doxastic.orders import _trusted
@@ -391,3 +393,47 @@ class TestOrderSize:
     def test_explicit_orders_measure_zero(self):
         rng = random.Random(1)
         assert dx.order_size(random_explicit_order(rng, A)) == 0
+
+
+class TestPairCap:
+    """`to_explicit` counts its pairs from the class sizes and refuses, past
+    `PAIR_CAP`, before it builds any model or pair."""
+
+    @staticmethod
+    def everything_tied(n):
+        alphabet = dx.Alphabet(tuple(f"x{k}" for k in range(n)))
+        return dx.LevelOrder(alphabet, (dx.TRUE,))
+
+    def test_refused_before_any_pair_is_built(self):
+        order = self.everything_tied(12)  # 2^24 pairs
+        tracemalloc.start()
+        try:
+            with pytest.raises(dx.LengthCapExceededError) as caught:
+                dx.to_explicit(order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(caught.value) == "translation needs 16777216 pairs, over the cap of 1048576"
+        assert peak < 64 * 2**10, f"peak {peak / 2**10:.0f} KiB"
+
+    def test_the_count_is_the_pair_count(self, monkeypatch):
+        rng = random.Random(12)
+        for _ in range(40):
+            alphabet = alphabet_of(rng.randint(1, 4))
+            for order in (
+                random_level_order(rng, alphabet),
+                random_lex_order(rng, alphabet),
+                random_natural_order(rng, alphabet),
+                random_explicit_order(rng, alphabet),
+            ):
+                pairs = len(dx.to_explicit(order).pairs)
+                monkeypatch.setattr(translate_module, "PAIR_CAP", pairs)
+                assert len(dx.to_explicit(order).pairs) == pairs
+                monkeypatch.setattr(translate_module, "PAIR_CAP", pairs - 1)
+                with pytest.raises(dx.LengthCapExceededError, match=f"needs {pairs} pairs"):
+                    dx.to_explicit(order)
+                monkeypatch.undo()
+
+    def test_exactly_the_cap_still_translates(self):
+        order = self.everything_tied(10)  # 2^20 pairs
+        assert len(dx.to_explicit(order).pairs) == translate_module.PAIR_CAP == 1 << 20
