@@ -22,6 +22,7 @@ from .orders import (
     kind_of,
     member_formulas,
     ranked_masks,
+    _require_kind,
 )
 from .translate import lex_to_level, order_size
 
@@ -49,8 +50,7 @@ def size_report(order: AnyOrder) -> SizeReport:
 
 def class_bound_check(order: LevelOrder | NaturalOrder) -> bool:
     """Diagnostic: the class count never exceeds the member count plus one."""
-    if not isinstance(order, (LevelOrder, NaturalOrder)):
-        raise TypeError("class bound applies to level and natural orders")
+    _require_kind(order, LevelOrder, NaturalOrder)
     return _class_count(order) <= len(member_formulas(order)) + 1
 
 

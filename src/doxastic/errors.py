@@ -15,7 +15,11 @@ class FormulaSyntaxError(DoxasticError):
         self.position = position
 
 
-class UndeclaredVariableError(DoxasticError):
+class AlphabetMismatchError(DoxasticError):
+    """Models or formulas do not fit the order's alphabet."""
+
+
+class UndeclaredVariableError(AlphabetMismatchError):
     """A formula mentions a variable outside the ambient alphabet."""
 
     def __init__(self, name: str, position: int | None = None):
@@ -31,10 +35,6 @@ class CapExceededError(DoxasticError):
 
 class LengthCapExceededError(DoxasticError):
     """A translation would emit more members or pairs than the configured limit."""
-
-
-class AlphabetMismatchError(DoxasticError):
-    """Models or formulas do not fit the order's alphabet."""
 
 
 class NotAPreorderError(DoxasticError):

@@ -163,6 +163,14 @@ def _model(position: int, width: int, _new=object.__new__) -> Model:
     return model
 
 
+def _require_fit(width: int, models: Iterable[Model]) -> None:
+    """The one width rule: raises for the first of `models` without one bit
+    per alphabet variable.  Hot callers test widths inline, calling it to raise."""
+    for model in models:
+        if model.width != width:
+            raise AlphabetMismatchError(f"model {model} does not fit a {width}-variable alphabet")
+
+
 class Formula:
     """Base class for formula syntax nodes.  Equality is structural and the
     hash is memoized on each node; both cost the shared nodes, not the tree.
@@ -324,19 +332,23 @@ def _numbered(roots: Iterable[Formula]) -> tuple[dict[int, object], int]:
     return numbers, len(shapes)
 
 
+def _name(node: Formula, *_) -> str | None:
+    return node.name if type(node) is Var else None
+
+
 def variables(formula: Formula) -> frozenset[str]:
     """Names of all variables occurring in the formula."""
-    return _variables((formula,))
+    return frozenset(name for name in _fold((formula,), _name).values() if type(name) is str)
 
 
-def _variables(formulas: Iterable[Formula], alphabet: Alphabet | None = None) -> frozenset[str]:
-    """Names of all variables occurring in any of the formulas, in one walk
-    over their shared nodes.  Given `alphabet`, the walk stops at nodes with
-    a bitmap stored for it, whose variables all resolved in it (they are
-    left out of the result)."""
-    known = None if alphabet is None else partial(_known_bitmap, alphabet)
-    values = _fold(formulas, lambda node, *_: node.name if type(node) is Var else None, known)
-    return frozenset(value for value in values.values() if type(value) is str)
+def _require_declared(alphabet: Alphabet, formulas: Iterable[Formula]) -> None:
+    """The one variable rule, in one walk over the formulas' shared nodes:
+    raises for the first stray name in sorted order.  A node holding a bitmap
+    for an equal alphabet, whose variables all resolved in it, is not entered."""
+    walked = _fold(formulas, _name, partial(_known_bitmap, alphabet)).values()
+    stray = {name for name in walked if type(name) is str} - set(alphabet.vars)
+    if stray:
+        raise UndeclaredVariableError(min(stray))
 
 
 def node_count(formula: Formula) -> int:
@@ -358,9 +370,7 @@ def dag_node_count(formulas: Iterable[Formula]) -> int:
 def evaluate(formula: Formula, model: Model, alphabet: Alphabet) -> bool:
     """Standard propositional semantics of `formula` under `model`."""
     if model.width != len(alphabet):
-        raise AlphabetMismatchError(
-            f"model width {model.width} does not match alphabet of {len(alphabet)}"
-        )
+        _require_fit(len(alphabet), (model,))
 
     bits = model.bits  # read once: a property
 
@@ -404,12 +414,10 @@ def formula_from_models(models: Iterable[Model], alphabet: Alphabet) -> Formula:
     The empty set yields the constant false; `models_of` on the result
     always gives back exactly the input set.
     """
+    models = set(models)
+    _require_fit(len(alphabet), models)
     terms = []
-    for model in sorted(set(models)):
-        if model.width != len(alphabet):
-            raise AlphabetMismatchError(
-                f"model width {model.width} does not match alphabet of {len(alphabet)}"
-            )
+    for model in sorted(models, key=attrgetter("position")):
         literals = [
             Var(name) if bit else Not(Var(name))
             for name, bit in zip(alphabet.vars, model.bits)

@@ -36,7 +36,7 @@ from itertools import repeat, zip_longest
 from operator import lshift, or_
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
-from .errors import AlphabetMismatchError, NotAPreorderError, UndeclaredVariableError
+from .errors import AlphabetMismatchError, NotAPreorderError, NotNormalizedError
 from .formula import (
     Alphabet,
     Formula,
@@ -44,7 +44,8 @@ from .formula import (
     _Record,
     _full_mask,
     _model,
-    _variables,
+    _require_declared,
+    _require_fit,
     bit_positions,
     evaluate,
     truth_bitmap,
@@ -53,9 +54,7 @@ from .formula import (
 
 def _check_formulas(alphabet: Alphabet, formulas) -> tuple[Formula, ...]:
     formulas = tuple(formulas)
-    stray = _variables(formulas, alphabet) - set(alphabet.vars)
-    if stray:
-        raise UndeclaredVariableError(sorted(stray)[0])
+    _require_declared(alphabet, formulas)
     return formulas
 
 
@@ -107,6 +106,18 @@ def _grouped_masks(keys: Sequence[int]) -> Iterator[int]:
         yield int.from_bytes(buffer, "little")
 
 
+def _first_cover(maps: Iterable[int], width: int) -> Iterator[int]:
+    """A level order's classes from its member bitmaps: the models each
+    member holds first, where there are any, then the models none holds."""
+    full, covered = _full_mask(width), 0
+    for mask in maps:
+        if mask & ~covered:
+            yield mask & ~covered
+            covered |= mask
+    if covered != full:
+        yield full & ~covered
+
+
 def _promote(classes: list[int], sat: int) -> int:
     """One natural revision by a formula with models `sat`, applied in place
     to `classes` (most plausible first): the formula's part of the first
@@ -131,9 +142,7 @@ class ExplicitOrder(_Record, fields=("alphabet", "pairs")):
         width = len(alphabet)
         for i, j in self.pairs:
             if i.width != width or j.width != width:
-                raise AlphabetMismatchError(
-                    f"pair ({i}, {j}) does not fit a {width}-variable alphabet"
-                )
+                _require_fit(width, (i, j))
 
     @cached_property
     def _violations(self) -> list[Violation]:
@@ -147,7 +156,8 @@ class LevelOrder(_Record, fields=("alphabet", "levels", "normalized")):
     The stored sequence is unconstrained.  A model's rank is the least index
     of a member it satisfies; models satisfying no member share an implicit
     bottom class.  `normalized` asserts mutually exclusive, individually
-    consistent members covering the whole model space.
+    consistent members covering the whole model space; the constructor
+    refuses a false claim where the model space is enumerable.
     """
 
     kind = "level"
@@ -157,6 +167,10 @@ class LevelOrder(_Record, fields=("alphabet", "levels", "normalized")):
         self.alphabet = alphabet
         self.levels = _check_formulas(alphabet, levels)
         self.normalized = normalized
+        # The claim is checked on bitmaps not kept: a new order pickles as its fields.
+        maps = _member_bitmaps(self) if normalized else None
+        if maps is not None and tuple(_first_cover(maps, len(alphabet))) != maps:
+            raise NotNormalizedError("levels are not exclusive, consistent and exhaustive")
 
     _bitmaps = cached_property(_member_bitmaps)
 
@@ -206,9 +220,10 @@ def _trusted(kind, alphabet: Alphabet, members, **fields):
     return order
 
 
-def _prepended(order: LexOrder | NaturalOrder, formula: Formula) -> LexOrder | NaturalOrder:
-    """The history with `formula` (already checked) prepended, walking no
-    older member; what `order` derived from them gains the one new step."""
+def _prepended(order: LexOrder | NaturalOrder, formula: Formula, kind) -> LexOrder | NaturalOrder:
+    """The history of `kind` with `formula` (already checked) prepended, walking
+    no older member; what `order` derived from them gains the one new step."""
+    _require_kind(order, kind)
     alphabet, known, extended = order.alphabet, vars(order), {}
     if known.get("_bitmaps") is not None:
         extended["_bitmaps"] = (truth_bitmap(formula, alphabet), *known["_bitmaps"])
@@ -217,7 +232,7 @@ def _prepended(order: LexOrder | NaturalOrder, formula: Formula) -> LexOrder | N
         classes = list(classes)
         mask = _promote(classes, truth_bitmap(formula, alphabet))
         extended["_promotion"] = ((mask, *masks), tuple(classes))
-    return _trusted(type(order), alphabet, (formula, *order.history), **extended)
+    return _trusted(kind, alphabet, (formula, *order.history), **extended)
 
 
 AnyOrder = ExplicitOrder | LevelOrder | LexOrder | NaturalOrder
@@ -235,11 +250,7 @@ class ClassPartition(_Record, fields=("alphabet", "classes")):
         for cls in self.classes:
             if not cls:
                 raise ValueError("empty equivalence class")
-            for m in cls:
-                if m.width != width:
-                    raise AlphabetMismatchError(
-                        f"model {m} does not fit a {width}-variable alphabet"
-                    )
+            _require_fit(width, cls)
             total += len(cls)
             union.update(cls)
         if len(union) != total:
@@ -271,6 +282,14 @@ def kind_of(order: AnyOrder) -> str:
     raise TypeError(f"not an order: {order!r}")
 
 
+def _require_kind(order: AnyOrder, *kinds: type) -> None:
+    """Refuse an order of another kind: each representation's operators are
+    correct on its own alone (histories of both kinds look alike)."""
+    if not isinstance(order, kinds):
+        wanted = " or ".join(kind.kind for kind in kinds)
+        raise TypeError(f"expected a {wanted} order, not {kind_of(order)}")
+
+
 def member_formulas(order: AnyOrder) -> tuple[Formula, ...]:
     """The formula sequence of an order; empty for explicit orders."""
     return () if kind_of(order) == "explicit" else getattr(order, order._fields[1])
@@ -279,10 +298,7 @@ def member_formulas(order: AnyOrder) -> tuple[Formula, ...]:
 def _require_members(order: AnyOrder, i: Model, j: Model) -> None:
     width = len(order.alphabet.vars)
     if i.width != width or j.width != width:
-        model = i if i.width != width else j
-        raise AlphabetMismatchError(
-            f"model {model} does not fit a {width}-variable alphabet"
-        )
+        _require_fit(width, (i, j))
 
 
 # --- comparison relations ----------------------------------------------------
@@ -372,16 +388,7 @@ def ranked_masks(order: AnyOrder) -> Iterator[int]:
     if isinstance(order, NaturalOrder):
         yield from order._promotion[1]  # kept up by every promotion
     elif isinstance(order, LevelOrder):
-        # A model's class is the first member that holds it; models no
-        # member holds come last.
-        full = _full_mask(len(alphabet))
-        covered = 0
-        for mask in order._bitmaps:
-            if mask & ~covered:
-                yield mask & ~covered
-                covered |= mask
-        if covered != full:
-            yield full & ~covered
+        yield from _first_cover(order._bitmaps, len(alphabet))
     elif isinstance(order, LexOrder):
         # One class per distinct column, in descending column order: a model
         # the newest formula holds comes first, older formulas break ties.

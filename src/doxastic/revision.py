@@ -10,37 +10,26 @@ asked for its own as it is built, one connective application each.
 
 from __future__ import annotations
 
-from .errors import (
-    AlphabetMismatchError,
-    InconsistentRevisionError,
-    NotNormalizedError,
-)
-from .formula import And, Formula, Not, _variables, truth_bitmap
-from .orders import LevelOrder, LexOrder, NaturalOrder, _prepended, _trusted
+from .errors import InconsistentRevisionError, NotNormalizedError
+from .formula import And, Formula, Not, _require_declared, truth_bitmap
+from .orders import LevelOrder, LexOrder, NaturalOrder, _prepended, _require_kind, _trusted
 from .translate import is_normalized
-
-
-def _check_formula(alphabet, formula: Formula) -> None:
-    stray = _variables((formula,), alphabet) - set(alphabet.vars)
-    if stray:
-        raise AlphabetMismatchError(
-            f"formula mentions variables outside the alphabet: {sorted(stray)}"
-        )
 
 
 def revise_natural_history(order: NaturalOrder, formula: Formula) -> NaturalOrder:
     """Naturally revising a history prepends the new formula."""
-    _check_formula(order.alphabet, formula)
-    return _prepended(order, formula)
+    _require_declared(order.alphabet, (formula,))
+    return _prepended(order, formula, NaturalOrder)
 
 
 def revise_lex_history(order: LexOrder, formula: Formula) -> LexOrder:
     """Lexicographically revising a history prepends the new formula."""
-    _check_formula(order.alphabet, formula)
-    return _prepended(order, formula)
+    _require_declared(order.alphabet, (formula,))
+    return _prepended(order, formula, LexOrder)
 
 
 def _require_normalized(order: LevelOrder) -> None:
+    _require_kind(order, LevelOrder)
     if not (order.normalized or is_normalized(order)):
         raise NotNormalizedError(
             "level-order revision requires a normalized member sequence"
@@ -53,7 +42,7 @@ def revise_level_naturally(order: LevelOrder, formula: Formula) -> LevelOrder:
     models) keeps the old position, and every other member is untouched.
     The result is normalized."""
     alphabet = order.alphabet
-    _check_formula(alphabet, formula)
+    _require_declared(alphabet, (formula,))
     _require_normalized(order)
     alphabet.require_enumerable()
     sat = truth_bitmap(formula, alphabet)
@@ -77,7 +66,7 @@ def revise_level_lexicographically(
     first, then all members conjoined with its negation.  With `prune`,
     members left without models are dropped."""
     alphabet = order.alphabet
-    _check_formula(alphabet, formula)
+    _require_declared(alphabet, (formula,))
     _require_normalized(order)
     alphabet.require_enumerable()
     members = [And(head, member) for head in (formula, Not(formula)) for member in order.levels]

@@ -33,6 +33,7 @@ from .orders import (
     ranked_masks,
     _lex_columns,
     _model_classes,
+    _require_kind,
     _trusted,
 )
 
@@ -60,6 +61,7 @@ def _conjoined(formula: Formula, member: Formula) -> Formula:
 def is_normalized(order: LevelOrder) -> bool:
     """Check by enumeration: members consistent, mutually exclusive, jointly
     exhaustive."""
+    _require_kind(order, LevelOrder)
     return list(ranked_masks(order)) == list(order._bitmaps)
 
 
@@ -72,6 +74,7 @@ def normalize_level(order: LevelOrder) -> LevelOrder:
     earlier members; members left without models are dropped; a complement
     catch-all is appended when coverage falls short.
     """
+    _require_kind(order, LevelOrder)
     alphabet = order.alphabet
     alphabet.require_enumerable()
     full = _full_mask(len(alphabet))
@@ -104,6 +107,7 @@ def natural_to_level(order: NaturalOrder, lenient: bool = False) -> LevelOrder:
     formulas are an error unless `lenient`, which drops them (they never
     affect the order).
     """
+    _require_kind(order, NaturalOrder)
     alphabet = order.alphabet
     alphabet.require_enumerable()
     full = _full_mask(len(alphabet))
@@ -152,6 +156,7 @@ def lex_to_level(
     without models are dropped after every step, which bounds the length by
     the number of equivalence classes and marks the result normalized.
     """
+    _require_kind(order, LexOrder)
     alphabet = order.alphabet
     alphabet.require_enumerable()
     suffixes = _column_suffixes(order) if prune else None
@@ -179,6 +184,7 @@ def lex_to_level(
 def level_to_natural(order: LevelOrder) -> NaturalOrder:
     """Normalize if needed, then reuse the very same member sequence as a
     natural-revision history."""
+    _require_kind(order, LevelOrder)
     source = order if order.normalized or is_normalized(order) else normalize_level(order)
     return _trusted(NaturalOrder, order.alphabet, source.levels)
 
@@ -186,6 +192,7 @@ def level_to_natural(order: LevelOrder) -> NaturalOrder:
 def level_to_lex(order: LevelOrder) -> LexOrder:
     """Normalize if needed, then reuse the very same member sequence as a
     lexicographic-revision history."""
+    _require_kind(order, LevelOrder)
     source = order if order.normalized or is_normalized(order) else normalize_level(order)
     return _trusted(LexOrder, order.alphabet, source.levels)
 
