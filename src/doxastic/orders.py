@@ -19,12 +19,14 @@ Orders and the other records are plain classes (`formula._Record`): their
 fields make their equality, hash and repr; assignment is not refused.  Each
 order keeps what it derives from its members in its `__dict__`, beside the
 fields: member bitmaps (level, lexicographic), promotion masks and classes
-(natural), validation (explicit).  A prepend extends them by one step and
-walks no older member; a level revision hands over bitmaps it got one
-connective per new member.  The alphabet check on members stops at nodes
-holding a bitmap for an equal alphabet.  Orders built by connectives over
-checked members, the alphabet's variables and constants (translations,
-revisions, loads) skip it: `_trusted`.
+(natural), validation and class masks (explicit; pickles leave the masks
+out).  A prepend extends them by one step and walks no older member; a
+level revision hands over bitmaps it got one connective per new member.
+The alphabet check on members stops at nodes holding a bitmap for an equal
+alphabet.  Orders built by connectives over checked members, the alphabet's
+variables and constants (translations, revisions, loads) skip it:
+`_trusted`.  Explicit pairs are validated by one chain test; only pairs
+that fail it are searched for violations (`validate_explicit`).
 """
 
 from __future__ import annotations
@@ -148,6 +150,24 @@ class ExplicitOrder(_Record, fields=("alphabet", "pairs")):
     def _violations(self) -> list[Violation]:
         # Validated once per order, however many operations read it.
         return validate_explicit(self)
+
+    @cached_property
+    def _masks(self) -> tuple[int, ...]:
+        """The class masks, most plausible first, counted once per valid order:
+        in a connected preorder, the number of models a model is <= to
+        strictly decreases from one class to the next."""
+        if self._violations:
+            raise NotAPreorderError(self._violations)
+        above = [0] * (1 << len(self.alphabet))
+        for i, _ in self.pairs:
+            above[i.position] += 1
+        return tuple(_grouped_masks(above))
+
+    def __getstate__(self) -> dict:
+        # Pickles carry the fields and the validation; the masks are counted again.
+        state = dict(vars(self))
+        state.pop("_masks", None)
+        return state
 
 
 class LevelOrder(_Record, fields=("alphabet", "levels", "normalized")):
@@ -295,54 +315,56 @@ def member_formulas(order: AnyOrder) -> tuple[Formula, ...]:
     return () if kind_of(order) == "explicit" else getattr(order, order._fields[1])
 
 
-def _require_members(order: AnyOrder, i: Model, j: Model) -> None:
-    width = len(order.alphabet.vars)
-    if i.width != width or j.width != width:
-        _require_fit(width, (i, j))
-
-
 # --- comparison relations ----------------------------------------------------
+#
+# Each `leq_*` tests widths inline, calling `_require_fit` only to raise, and
+# runs its own loop: a comparison is two frames, `leq` and its `leq_*`.
 
 
 def leq_explicit(order: ExplicitOrder, i: Model, j: Model) -> bool:
     """i <= j exactly when the pair is listed."""
-    _require_members(order, i, j)
+    width = len(order.alphabet.vars)
+    if i.width != width or j.width != width:
+        _require_fit(width, (i, j))
     return (i, j) in order.pairs
 
 
-def _member_truths(order: LevelOrder | LexOrder, i: Model, j: Model):
-    """Once i and j are checked to fit, the members' bitmaps with i's bit and
-    j's bit in them.  Past the cap, where comparisons evaluate, each member's
-    truth at i and at j as a two-bit map, made as the comparison asks."""
-    _require_members(order, i, j)
-    maps = order._bitmaps
-    if maps is not None:
-        return maps, 1 << i.position, 1 << j.position
-    alphabet = order.alphabet
-    members = member_formulas(order)
-    return (evaluate(f, i, alphabet) | evaluate(f, j, alphabet) << 1 for f in members), 1, 2
-
-
-def _first_holding(maps, bit_i: int, bit_j: int) -> bool:
-    """Whether the first map holding i or j holds i; True when none does.
-    What it holds of them is i's bit, j's bit, or both (always, if i is j)."""
-    both = bit_i | bit_j
-    for sat in maps:
-        held = sat & both
-        if held:
-            return held != bit_j or held == both
-    return True
+def _truths_at(order: LevelOrder | LexOrder, i: Model, j: Model) -> Iterator[int]:
+    """Past the cap, where comparisons evaluate: each member's truth at i and
+    at j as a two-bit map (i's bit 1, j's bit 2), made as the comparison asks."""
+    alphabet, members = order.alphabet, member_formulas(order)
+    return (evaluate(f, i, alphabet) | evaluate(f, j, alphabet) << 1 for f in members)
 
 
 def leq_level(order: LevelOrder, i: Model, j: Model) -> bool:
     """Compare least satisfied member indexes; unmatched models share the
     implicit bottom class."""
-    return _first_holding(*_member_truths(order, i, j))
+    width = len(order.alphabet.vars)
+    if i.width != width or j.width != width:
+        _require_fit(width, (i, j))
+    maps = order._bitmaps
+    if maps is None:
+        maps, bit_i, bit_j = _truths_at(order, i, j), 1, 2
+    else:
+        bit_i, bit_j = 1 << i.position, 1 << j.position
+    both = bit_i | bit_j
+    for sat in maps:
+        held = sat & both  # i's bit, j's bit, or both (always, if i is j)
+        if held:
+            return held != bit_j or held == both  # the first member holding either holds i
+    return True
 
 
 def leq_lex(order: LexOrder, i: Model, j: Model) -> bool:
     """The most recent revision dominates; earlier ones only break ties."""
-    maps, bit_i, bit_j = _member_truths(order, i, j)
+    width = len(order.alphabet.vars)
+    if i.width != width or j.width != width:
+        _require_fit(width, (i, j))
+    maps = order._bitmaps
+    if maps is None:
+        maps, bit_i, bit_j = _truths_at(order, i, j), 1, 2
+    else:
+        bit_i, bit_j = 1 << i.position, 1 << j.position
     both = bit_i | bit_j
     for sat in maps:
         held = sat & both
@@ -357,8 +379,16 @@ def leq_natural(order: NaturalOrder, i: Model, j: Model) -> bool:
     So i <= j when the newest revision that promoted either of them promoted
     i, or when neither was ever promoted."""
     masks = order._promotion[0]  # computing them checks the cap first
-    _require_members(order, i, j)
-    return _first_holding(masks, 1 << i.position, 1 << j.position)
+    width = len(order.alphabet.vars)
+    if i.width != width or j.width != width:
+        _require_fit(width, (i, j))
+    bit_i, bit_j = 1 << i.position, 1 << j.position
+    both = bit_i | bit_j
+    for mask in masks:
+        held = mask & both
+        if held:
+            return held != bit_j or held == both
+    return True
 
 
 def leq(order: AnyOrder, i: Model, j: Model) -> bool:
@@ -394,14 +424,7 @@ def ranked_masks(order: AnyOrder) -> Iterator[int]:
         # the newest formula holds comes first, older formulas break ties.
         yield from _grouped_masks(_lex_columns(order._bitmaps, 1 << len(alphabet)))
     elif isinstance(order, ExplicitOrder):
-        if order._violations:
-            raise NotAPreorderError(order._violations)
-        # In a connected preorder, the number of models a model is <= to
-        # strictly decreases from one class to the next.
-        above = [0] * (1 << len(alphabet))
-        for i, _ in order.pairs:
-            above[i.position] += 1
-        yield from _grouped_masks(above)
+        yield from order._masks
     else:
         raise TypeError(f"not an order: {order!r}")
 
@@ -463,13 +486,29 @@ def equivalent(first: AnyOrder, second: AnyOrder) -> bool:
 
 
 def validate_explicit(order: ExplicitOrder) -> list[Violation]:
-    """All reflexivity, transitivity, and connectedness failures, in model order."""
+    """All reflexivity, transitivity, and connectedness failures, in model order.
+
+    A connected preorder is exactly a chain of up-sets (Grove's spheres): a
+    model's row, the models it is <= to, is its class and every later one.
+    So the pairs form one when, grouping the models by equal row and taking
+    the groups from the smallest row up, each row is its group's models plus
+    the row before.  Only pairs that fail this one pass are searched."""
     alphabet = order.alphabet
     alphabet.require_enumerable()
     size, full = 1 << len(alphabet), _full_mask(len(alphabet))
     rows = [0] * size
     for i, j in order.pairs:
         rows[i.position] |= 1 << j.position
+    groups = defaultdict(int)
+    for p, row in enumerate(rows):
+        groups[row] |= 1 << p
+    below = 0  # the groups so far: disjoint from the next, and every model after the last
+    for row in sorted(groups):
+        if row != groups[row] | below:
+            break
+        below = row
+    else:
+        return []
 
     violations = []
     for p in range(size):

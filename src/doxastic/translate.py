@@ -10,6 +10,8 @@ alphabet's variables and constants, so they skip the alphabet walk.
 
 from __future__ import annotations
 
+from itertools import chain, product
+
 from .errors import InconsistentRevisionError, LengthCapExceededError
 from .formula import (
     And,
@@ -217,10 +219,13 @@ def to_explicit(order: AnyOrder) -> ExplicitOrder:
             f"translation needs {count} pairs, over the cap of {PAIR_CAP}"
         )
     classes = _model_classes(masks, len(order.alphabet))
-    pairs = frozenset(
-        (i, j) for k, cls in enumerate(classes) for i in cls for rest in classes[k:] for j in rest
-    )
-    return ExplicitOrder(order.alphabet, pairs)
+    # Each class's models paired with those of its class and every later one,
+    # class by class: this insertion order fixes the frozenset's pickle.
+    later = [tuple(chain.from_iterable(classes[k:])) for k in range(len(classes))]
+    explicit = object.__new__(ExplicitOrder)  # `_model_classes` models fit the alphabet
+    explicit.alphabet = order.alphabet
+    explicit.pairs = frozenset(chain.from_iterable(map(product, classes, later)))
+    return explicit
 
 
 def natural_to_lex(order: NaturalOrder, lenient: bool = False) -> LexOrder:
