@@ -18,7 +18,6 @@ from .orders import (
     LevelOrder,
     LexOrder,
     NaturalOrder,
-    classes_of,  # not called here; a test patches this name
     kind_of,
     member_formulas,
     ranked_masks,

@@ -477,13 +477,14 @@ def _full_mask(width: int) -> int:
 @lru_cache(maxsize=2048)
 def _variable_mask(width: int, position: int) -> int:
     # Bit k of the mask is set iff bit (width-1-position) of k is set,
-    # i.e. the repeating pattern 0..01..1 with half-window 2^(width-1-position).
-    low = width - 1 - position
-    half = 1 << low
-    window = half << 1
-    block = ((1 << half) - 1) << half
-    repeats = _full_mask(width) // ((1 << window) - 1)
-    return block * repeats
+    # i.e. the repeating pattern 0..01..1 with half-window 2^(width-1-position),
+    # copied beside itself until it fills all 2^width bits.
+    half = 1 << (width - 1 - position)
+    mask, size = ((1 << half) - 1) << half, half << 1
+    while size < 1 << width:
+        mask |= mask << size
+        size <<= 1
+    return mask
 
 
 _bitmap_counts: Counter = Counter()  # truth_bitmap calls: "hits" and "misses"

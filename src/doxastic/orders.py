@@ -11,9 +11,12 @@ bitmasks over model positions, most plausible first.  On a lexicographic
 history a model's class is its column: its bits across the history's
 bitmaps as an int, the newest formula's bit the highest, read as
 little-endian words (`_lex_columns`); the classes are the distinct columns
-in descending order.  `_model_classes` decodes class masks to models.
-`classes_by_stripping` builds classes from the definition instead, as the
-tests' reference.
+in descending order.  `_model_classes` decodes classes to models from runs
+of model positions, one `_model` call per model and one `frozenset` call
+per class: a lexicographic history's runs are its columns grouped
+(`_grouped_positions`), with no mask built; other orders' runs are read off
+their masks (`_mask_runs`).  `classes_by_stripping` builds classes from the
+definition instead, as the tests' reference.
 
 Orders and the other records are plain classes (`formula._Record`): their
 fields make their equality, hash and repr; assignment is not refused.  Each
@@ -34,7 +37,7 @@ from __future__ import annotations
 import struct
 from collections import defaultdict
 from functools import cached_property
-from itertools import repeat, zip_longest
+from itertools import islice, repeat, zip_longest
 from operator import lshift, or_
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
@@ -90,6 +93,24 @@ def _lex_columns(maps: tuple[int, ...], width: int) -> Sequence[int]:
     return [0] * width if columns is None else columns
 
 
+def _grouped_positions(keys: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The positions of equal keys as runs: every position, in descending key
+    order and ascending within a key, and the length of each run.  Distinct
+    keys, as on a lexicographic history of the variables, are sorted at C
+    level with no Python code per position; repeated ones are bucketed."""
+    if len(set(keys)) == len(keys):
+        position = dict(zip(keys, range(len(keys))))
+        return list(map(position.__getitem__, sorted(position, reverse=True))), [1] * len(keys)
+    groups = defaultdict(list)
+    for p, key in enumerate(keys):
+        groups[key].append(p)
+    positions, runs = [], []
+    for key in sorted(groups, reverse=True):
+        positions += groups[key]
+        runs.append(len(groups[key]))
+    return positions, runs
+
+
 def _grouped_masks(keys: Sequence[int]) -> Iterator[int]:
     """The positions of equal keys as one bitmask each, in descending key
     order.  A single position is one shift; several set their bits in one
@@ -106,6 +127,17 @@ def _grouped_masks(keys: Sequence[int]) -> Iterator[int]:
         for p in group:
             buffer[p >> 3] |= 1 << (p & 7)
         yield int.from_bytes(buffer, "little")
+
+
+def _mask_runs(masks: Iterable[int]) -> tuple[list[int], list[int]]:
+    """Class masks as the runs of `_grouped_positions`; a one-model mask is
+    read by its length, with no scan of its width."""
+    positions, runs = [], []
+    for mask in masks:
+        size = mask.bit_count()
+        positions.extend((mask.bit_length() - 1,) if size == 1 else bit_positions(mask))
+        runs.append(size)
+    return positions, runs
 
 
 def _first_cover(maps: Iterable[int], width: int) -> Iterator[int]:
@@ -429,26 +461,31 @@ def ranked_masks(order: AnyOrder) -> Iterator[int]:
         raise TypeError(f"not an order: {order!r}")
 
 
-def _model_classes(masks: Iterable[int], width: int) -> tuple[frozenset[Model], ...]:
-    """Each class mask's models, as frozensets: they lay out the pairs of
-    `translate.to_explicit`, and pickles of its pair set, as they always were."""
-    return tuple(
-        # A one-model class, as each is on a lexicographic history of the
-        # variables, is decoded without walking its whole 2^n-bit mask.
-        frozenset((_model(mask.bit_length() - 1, width),))
-        if mask.bit_count() == 1
-        else frozenset(map(_model, bit_positions(mask), repeat(width)))
-        for mask in masks
-    )
+def _model_classes(runs: tuple[list[int], list[int]], width: int) -> tuple[frozenset[Model], ...]:
+    """The classes given as runs of model positions (`_grouped_positions`),
+    as frozensets of models: one `_model` call per model and one `frozenset`
+    call per class.  They lay out the pairs of `translate.to_explicit`, and
+    pickles of its pair set, as they always were."""
+    positions, lengths = runs
+    models = map(_model, positions, repeat(width))
+    if len(lengths) == len(positions):  # every class holds one model
+        return tuple(map(frozenset, zip(models)))
+    return tuple(frozenset(islice(models, length)) for length in lengths)
 
 
 def classes_of(order: AnyOrder) -> ClassPartition:
     """Equivalence classes in plausibility order: the first class holds the
     models minimal under the comparison, the next the minimal among the
-    rest, and so on.  Decoded from `ranked_masks`."""
-    classes = _model_classes(ranked_masks(order), len(order.alphabet))
-    # `ranked_masks` makes the classes nonempty, disjoint and covering, of
-    # models of the alphabet's width: built without the constructor's checks.
+    rest, and so on.  Decoded from `ranked_masks`, or on a lexicographic
+    history straight from the grouped columns, which builds no mask."""
+    if isinstance(order, LexOrder):
+        order.alphabet.require_enumerable()  # before any bitmap is read
+        runs = _grouped_positions(_lex_columns(order._bitmaps, 1 << len(order.alphabet)))
+    else:
+        runs = _mask_runs(ranked_masks(order))
+    classes = _model_classes(runs, len(order.alphabet))
+    # The runs make the classes nonempty, disjoint and covering, of models
+    # of the alphabet's width: built without the constructor's checks.
     partition = object.__new__(ClassPartition)
     partition.alphabet, partition.classes = order.alphabet, classes
     return partition

@@ -34,6 +34,7 @@ from .orders import (
     member_formulas,
     ranked_masks,
     _lex_columns,
+    _mask_runs,
     _model_classes,
     _require_kind,
     _trusted,
@@ -161,26 +162,37 @@ def lex_to_level(
     _require_kind(order, LexOrder)
     alphabet = order.alphabet
     alphabet.require_enumerable()
-    suffixes = _column_suffixes(order) if prune else None
-    # Each member with its column suffix, the bits of the formulas so far;
-    # oldest first, members stay in descending suffix order.
-    members = [(TRUE, 0)]
+    levels = _column_suffixes(order) if prune else None
+    # Two parallel lists, oldest formula first: the members and, when
+    # pruning, each one's column suffix, the bits of the formulas so far;
+    # members stay in descending suffix order.
+    members, suffixes = [TRUE], [0]
     for depth, f in enumerate(reversed(order.history)):
-        found = suffixes[depth + 1] if prune else None
+        found = levels[depth + 1] if prune else None
         count = len(found) if prune else 2 * len(members)
         if count > length_cap:
             raise LengthCapExceededError(
                 f"translation needs {count} members, over the cap of {length_cap}"
             )
-        every = count == 2 * len(members)  # every member splits: nothing to look up
-        members = [  # `_conjoined(head, tail)`, inline as it runs once per member
-            (head if isinstance(tail, TrueConst) else And(head, tail), key)
-            for head, bit in ((f, 1 << depth), (_negated(f), 0))
-            for tail, suffix in members
-            for key in (suffix | bit,)
-            if every or key in found
+        heads = (f, _negated(f))
+        if count == 2 * len(members):  # every member splits: nothing to look up
+            members = [  # `_conjoined(head, tail)`, inline as it runs once per member
+                head if isinstance(tail, TrueConst) else And(head, tail)
+                for head in heads
+                for tail in members
+            ]
+            if prune:
+                suffixes = [suffix | 1 << depth for suffix in suffixes] + suffixes
+            continue
+        halves = ([suffix | 1 << depth for suffix in suffixes], suffixes)
+        members = [
+            head if isinstance(tail, TrueConst) else And(head, tail)
+            for head, half in zip(heads, halves)
+            for tail, suffix in zip(members, half)
+            if suffix in found
         ]
-    return _trusted(LevelOrder, alphabet, [member for member, _ in members], normalized=prune)
+        suffixes = [suffix for half in halves for suffix in half if suffix in found]
+    return _trusted(LevelOrder, alphabet, members, normalized=prune)
 
 
 def level_to_natural(order: LevelOrder) -> NaturalOrder:
@@ -201,7 +213,7 @@ def level_to_lex(order: LevelOrder) -> LexOrder:
 
 def explicit_to_level(order: ExplicitOrder) -> LevelOrder:
     """One minterm-disjunction member per equivalence class, in class order."""
-    classes = _model_classes(ranked_masks(order), len(order.alphabet))
+    classes = _model_classes(_mask_runs(ranked_masks(order)), len(order.alphabet))
     members = [formula_from_models(cls, order.alphabet) for cls in classes]
     return _trusted(LevelOrder, order.alphabet, members, normalized=True)
 
@@ -218,7 +230,7 @@ def to_explicit(order: AnyOrder) -> ExplicitOrder:
         raise LengthCapExceededError(
             f"translation needs {count} pairs, over the cap of {PAIR_CAP}"
         )
-    classes = _model_classes(masks, len(order.alphabet))
+    classes = _model_classes(_mask_runs(masks), len(order.alphabet))
     # Each class's models paired with those of its class and every later one,
     # class by class: this insertion order fixes the frozenset's pickle.
     later = [tuple(chain.from_iterable(classes[k:])) for k in range(len(classes))]

@@ -86,7 +86,7 @@ class TestBlowupExperiment:
         def row_computed(order):
             raise AssertionError("a row was computed")
 
-        monkeypatch.setattr(dx.analysis, "classes_of", row_computed)
+        monkeypatch.setattr(dx.analysis, "_class_count", row_computed)
         with pytest.raises(dx.CapExceededError):
             dx.blowup_experiment(21)
 
