@@ -21,6 +21,7 @@ from .orders import (
     kind_of,
     member_formulas,
     ranked_masks,
+    _lex_columns,
     _require_kind,
 )
 from .translate import lex_to_level, order_size
@@ -34,7 +35,13 @@ class SizeReport(_Record, fields=("kind", "formulas", "nodes", "classes")):
 
 
 def _class_count(order: AnyOrder) -> int:
-    return sum(1 for _ in ranked_masks(order))  # builds no `Model`
+    """The number of classes, with no `Model` built: on a lexicographic
+    history its distinct columns, with no mask built; on other orders its
+    `ranked_masks`."""
+    if isinstance(order, LexOrder):
+        order.alphabet.require_enumerable()  # before any bitmap is read
+        return len(set(_lex_columns(order._bitmaps, 1 << len(order.alphabet))))
+    return sum(1 for _ in ranked_masks(order))
 
 
 def size_report(order: AnyOrder) -> SizeReport:

@@ -12,8 +12,8 @@ from __future__ import annotations
 import re
 from collections import Counter
 from collections.abc import Iterable, Iterator
-from functools import cached_property, lru_cache, partial, total_ordering
-from operator import attrgetter
+from functools import cached_property, lru_cache, partial, reduce, total_ordering
+from operator import and_, attrgetter, getitem
 
 from .errors import (
     AlphabetMismatchError,
@@ -412,18 +412,34 @@ def formula_from_models(models: Iterable[Model], alphabet: Alphabet) -> Formula:
     """Disjunction of one minterm per model, in bitstring order.
 
     The empty set yields the constant false; `models_of` on the result
-    always gives back exactly the input set.
+    always gives back exactly the input set.  Within the alphabet's cap the
+    root is returned holding its bitmap, computed as the minterms are
+    written: each minterm's is the AND of its literals' truth sets (a
+    variable's mask, or its complement), and the root's their OR.  No other
+    node gets one.  A model's literal signs are read from its position's
+    binary text, not from `Model.bits`.
     """
     models = set(models)
-    _require_fit(len(alphabet), models)
-    terms = []
+    width = len(alphabet)
+    _require_fit(width, models)
+    enumerable = width <= alphabet.cap
+    if enumerable:  # each variable's truth set, by the sign of its literal
+        full = _full_mask(width)
+        masks = map(_variable_mask, [width] * width, range(width))
+        truths = [{"1": mask, "0": full ^ mask} for mask in masks]
+    terms, bits = [], 0
     for model in sorted(models, key=attrgetter("position")):
+        signs = str(model)  # one `format` call: `Model.bits` may not be derived yet
         literals = [
-            Var(name) if bit else Not(Var(name))
-            for name, bit in zip(alphabet.vars, model.bits)
+            Var(name) if sign == "1" else Not(Var(name)) for name, sign in zip(alphabet.vars, signs)
         ]
         terms.append(conjoin(literals))
-    return disjoin(terms)
+        if enumerable:
+            bits |= reduce(and_, map(getitem, truths, signs), full)
+    root = disjoin(terms)
+    if enumerable:
+        root._bitmap = (alphabet, bits)
+    return root
 
 
 def simplify(formula: Formula) -> Formula:

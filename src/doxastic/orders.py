@@ -28,8 +28,10 @@ level revision hands over bitmaps it got one connective per new member.
 The alphabet check on members stops at nodes holding a bitmap for an equal
 alphabet.  Orders built by connectives over checked members, the alphabet's
 variables and constants (translations, revisions, loads) skip it:
-`_trusted`.  Explicit pairs are validated by one chain test; only pairs
-that fail it are searched for violations (`validate_explicit`).
+`_trusted`.  An explicit order's pairs are read once: one pass gives each
+model its row, the models it is <= to, which one chain test validates and
+whose sizes rank the classes (`_chain_rows`); only rows that fail the test
+are searched for violations, and validation alone builds no mask.
 """
 
 from __future__ import annotations
@@ -185,15 +187,16 @@ class ExplicitOrder(_Record, fields=("alphabet", "pairs")):
 
     @cached_property
     def _masks(self) -> tuple[int, ...]:
-        """The class masks, most plausible first, counted once per valid order:
-        in a connected preorder, the number of models a model is <= to
-        strictly decreases from one class to the next."""
+        """The class masks, most plausible first, found once per valid order
+        in the one pass over its pairs that validates it (`_chain_rows`)."""
+        if vars(self).get("_violations"):
+            raise NotAPreorderError(self._violations)
+        rows, chained = _chain_rows(self)
+        self._violations = [] if chained else _violations_in(self.alphabet, rows)
         if self._violations:
             raise NotAPreorderError(self._violations)
-        above = [0] * (1 << len(self.alphabet))
-        for i, _ in self.pairs:
-            above[i.position] += 1
-        return tuple(_grouped_masks(above))
+        # A model's row is its class and every later one: its size ranks it.
+        return tuple(_grouped_masks(map(int.bit_count, rows)))
 
     def __getstate__(self) -> dict:
         # Pickles carry the fields and the validation; the masks are counted again.
@@ -522,18 +525,17 @@ def equivalent(first: AnyOrder, second: AnyOrder) -> bool:
 # --- explicit-order validation -------------------------------------------------
 
 
-def validate_explicit(order: ExplicitOrder) -> list[Violation]:
-    """All reflexivity, transitivity, and connectedness failures, in model order.
+def _chain_rows(order: ExplicitOrder) -> tuple[list[int], bool]:
+    """Each model's row, the mask of the models it is <= to, from one pass
+    over the pairs, and whether the rows pass the chain test.
 
     A connected preorder is exactly a chain of up-sets (Grove's spheres): a
-    model's row, the models it is <= to, is its class and every later one.
-    So the pairs form one when, grouping the models by equal row and taking
-    the groups from the smallest row up, each row is its group's models plus
-    the row before.  Only pairs that fail this one pass are searched."""
+    model's row is its class and every later one.  So the pairs form one
+    when, grouping the models by equal row and taking the groups from the
+    smallest row up, each row is its group's models plus the row before."""
     alphabet = order.alphabet
     alphabet.require_enumerable()
-    size, full = 1 << len(alphabet), _full_mask(len(alphabet))
-    rows = [0] * size
+    rows = [0] * (1 << len(alphabet))
     for i, j in order.pairs:
         rows[i.position] |= 1 << j.position
     groups = defaultdict(int)
@@ -542,11 +544,21 @@ def validate_explicit(order: ExplicitOrder) -> list[Violation]:
     below = 0  # the groups so far: disjoint from the next, and every model after the last
     for row in sorted(groups):
         if row != groups[row] | below:
-            break
+            return rows, False
         below = row
-    else:
-        return []
+    return rows, True
 
+
+def validate_explicit(order: ExplicitOrder) -> list[Violation]:
+    """All reflexivity, transitivity, and connectedness failures, in model
+    order.  Only rows that fail the chain test (`_chain_rows`) are searched."""
+    rows, chained = _chain_rows(order)
+    return [] if chained else _violations_in(order.alphabet, rows)
+
+
+def _violations_in(alphabet: Alphabet, rows: list[int]) -> list[Violation]:
+    """The violations the rows of an explicit order witness, searched pair by pair."""
+    size, full = len(rows), _full_mask(len(alphabet))
     violations = []
     for p in range(size):
         if not rows[p] >> p & 1:

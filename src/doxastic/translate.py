@@ -212,7 +212,8 @@ def level_to_lex(order: LevelOrder) -> LexOrder:
 
 
 def explicit_to_level(order: ExplicitOrder) -> LevelOrder:
-    """One minterm-disjunction member per equivalence class, in class order."""
+    """One minterm-disjunction member per equivalence class, in class order,
+    each written holding its bitmap (`formula_from_models`)."""
     classes = _model_classes(_mask_runs(ranked_masks(order)), len(order.alphabet))
     members = [formula_from_models(cls, order.alphabet) for cls in classes]
     return _trusted(LevelOrder, order.alphabet, members, normalized=True)
