@@ -6,17 +6,18 @@ sequence of level formulas (most plausible described first), and histories
 of lexicographic or natural revisions (most recent revision first).  The
 `leq_*` functions implement each representation's inductive comparison
 directly and are the semantic ground truth for the whole package.
-`ranked_masks` is the one internal form of an order's classes: disjoint
+`ranked_masks` is the form in which orders' classes are compared: disjoint
 bitmasks over model positions, most plausible first.  On a lexicographic
 history a model's class is its column: its bits across the history's
 bitmaps as an int, the newest formula's bit the highest, read as
 little-endian words (`_lex_columns`); the classes are the distinct columns
-in descending order.  `_model_classes` decodes classes to models from runs
-of model positions, one `_model` call per model and one `frozenset` call
-per class: a lexicographic history's runs are its columns grouped
-(`_grouped_positions`), with no mask built; other orders' runs are read off
-their masks (`_mask_runs`).  `classes_by_stripping` builds classes from the
-definition instead, as the tests' reference.
+in descending order.  `_class_runs` is the one decode of classes: their
+sizes and their model positions, class by class.  A lexicographic
+history's are its columns grouped (`_grouped_positions`), with no mask
+built; other orders' are read off their masks.  `_model_classes` turns them
+into models, one `_model` call per model and one `frozenset` call per
+class.  `classes_by_stripping` builds classes from the definition instead,
+as the tests' reference.
 
 Orders and the other records are plain classes (`formula._Record`): their
 fields make their equality, hash and repr; assignment is not refused.  Each
@@ -39,7 +40,7 @@ from __future__ import annotations
 import struct
 from collections import defaultdict
 from functools import cached_property
-from itertools import islice, repeat, zip_longest
+from itertools import chain, islice, repeat, zip_longest
 from operator import lshift, or_
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
@@ -129,17 +130,6 @@ def _grouped_masks(keys: Sequence[int]) -> Iterator[int]:
         for p in group:
             buffer[p >> 3] |= 1 << (p & 7)
         yield int.from_bytes(buffer, "little")
-
-
-def _mask_runs(masks: Iterable[int]) -> tuple[list[int], list[int]]:
-    """Class masks as the runs of `_grouped_positions`; a one-model mask is
-    read by its length, with no scan of its width."""
-    positions, runs = [], []
-    for mask in masks:
-        size = mask.bit_count()
-        positions.extend((mask.bit_length() - 1,) if size == 1 else bit_positions(mask))
-        runs.append(size)
-    return positions, runs
 
 
 def _first_cover(maps: Iterable[int], width: int) -> Iterator[int]:
@@ -267,9 +257,10 @@ class NaturalOrder(_Record, fields=("alphabet", "history")):
 
 
 def _trusted(kind, alphabet: Alphabet, members, **fields):
-    """An order of `kind` over members built only from nodes checked against
-    `alphabet` already, made without the constructor's walk.  `fields` may
-    set `normalized` and memos the caller derived by the formula rule."""
+    """A record of `kind`, an order or a class partition, over members
+    already checked against `alphabet`, made without the constructor's
+    walk.  `fields` may set `normalized` and memos the caller derived by
+    the formula rule."""
     order = object.__new__(kind)  # its members' field follows the alphabet
     vars(order).update({"alphabet": alphabet, kind._fields[1]: tuple(members)}, **fields)
     return order
@@ -464,34 +455,42 @@ def ranked_masks(order: AnyOrder) -> Iterator[int]:
         raise TypeError(f"not an order: {order!r}")
 
 
-def _model_classes(runs: tuple[list[int], list[int]], width: int) -> tuple[frozenset[Model], ...]:
-    """The classes given as runs of model positions (`_grouped_positions`),
-    as frozensets of models: one `_model` call per model and one `frozenset`
-    call per class.  They lay out the pairs of `translate.to_explicit`, and
-    pickles of its pair set, as they always were."""
-    positions, lengths = runs
+def _class_runs(order: AnyOrder) -> tuple[list[int], Iterable[int]]:
+    """The class sizes, most plausible first, and the model positions class
+    by class, ascending within a class; the cap is checked first.  A
+    lexicographic history gives both from its grouped columns, with no mask;
+    other orders give their masks' bit counts, and positions read off the
+    masks as they are consumed, a one-model mask by its length."""
+    alphabet = order.alphabet
+    alphabet.require_enumerable()  # before any bitmap is read
+    if isinstance(order, LexOrder):
+        positions, sizes = _grouped_positions(_lex_columns(order._bitmaps, 1 << len(alphabet)))
+        return sizes, positions
+    masks = list(ranked_masks(order))
+    sizes = list(map(int.bit_count, masks))
+    runs = ((m.bit_length() - 1,) if s == 1 else bit_positions(m) for m, s in zip(masks, sizes))
+    return sizes, chain.from_iterable(runs)
+
+
+def _model_classes(sizes: list[int], positions: Iterable[int], width: int) -> tuple[frozenset, ...]:
+    """The classes of `_class_runs`, as frozensets of models: one `_model`
+    call per model and one `frozenset` call per class.  They lay out the
+    pairs of `translate.to_explicit`, and pickles of its pair set, as they
+    always were."""
+    positions = list(positions)  # listed once: the class loop reads them faster
     models = map(_model, positions, repeat(width))
-    if len(lengths) == len(positions):  # every class holds one model
+    if len(sizes) == len(positions):  # every class holds one model
         return tuple(map(frozenset, zip(models)))
-    return tuple(frozenset(islice(models, length)) for length in lengths)
+    return tuple(frozenset(islice(models, size)) for size in sizes)
 
 
 def classes_of(order: AnyOrder) -> ClassPartition:
     """Equivalence classes in plausibility order: the first class holds the
     models minimal under the comparison, the next the minimal among the
-    rest, and so on.  Decoded from `ranked_masks`, or on a lexicographic
-    history straight from the grouped columns, which builds no mask."""
-    if isinstance(order, LexOrder):
-        order.alphabet.require_enumerable()  # before any bitmap is read
-        runs = _grouped_positions(_lex_columns(order._bitmaps, 1 << len(order.alphabet)))
-    else:
-        runs = _mask_runs(ranked_masks(order))
-    classes = _model_classes(runs, len(order.alphabet))
-    # The runs make the classes nonempty, disjoint and covering, of models
-    # of the alphabet's width: built without the constructor's checks.
-    partition = object.__new__(ClassPartition)
-    partition.alphabet, partition.classes = order.alphabet, classes
-    return partition
+    rest, and so on.  The runs make them nonempty, disjoint and covering,
+    of models of the alphabet's width: built without the constructor's checks."""
+    classes = _model_classes(*_class_runs(order), len(order.alphabet))
+    return _trusted(ClassPartition, order.alphabet, classes)
 
 
 def classes_by_stripping(

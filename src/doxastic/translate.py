@@ -33,8 +33,8 @@ from .orders import (
     NaturalOrder,
     member_formulas,
     ranked_masks,
+    _class_runs,
     _lex_columns,
-    _mask_runs,
     _model_classes,
     _require_kind,
     _trusted,
@@ -214,24 +214,24 @@ def level_to_lex(order: LevelOrder) -> LexOrder:
 def explicit_to_level(order: ExplicitOrder) -> LevelOrder:
     """One minterm-disjunction member per equivalence class, in class order,
     each written holding its bitmap (`formula_from_models`)."""
-    classes = _model_classes(_mask_runs(ranked_masks(order)), len(order.alphabet))
+    classes = _model_classes(*_class_runs(order), len(order.alphabet))
     members = [formula_from_models(cls, order.alphabet) for cls in classes]
     return _trusted(LevelOrder, order.alphabet, members, normalized=True)
 
 
 def to_explicit(order: AnyOrder) -> ExplicitOrder:
     """Materialize every pair (i, j) with i <= j.  The pairs are counted
-    from the class sizes first; past `PAIR_CAP` none is built."""
-    masks = list(ranked_masks(order))
+    from the class sizes first; past `PAIR_CAP` no model or pair is built."""
+    sizes, positions = _class_runs(order)
     count, below = 0, 1 << len(order.alphabet)  # below: the models of this class and later ones
-    for size in map(int.bit_count, masks):
+    for size in sizes:
         count += size * below
         below -= size
     if count > PAIR_CAP:
         raise LengthCapExceededError(
             f"translation needs {count} pairs, over the cap of {PAIR_CAP}"
         )
-    classes = _model_classes(_mask_runs(masks), len(order.alphabet))
+    classes = _model_classes(sizes, positions, len(order.alphabet))
     # Each class's models paired with those of its class and every later one,
     # class by class: this insertion order fixes the frozenset's pickle.
     later = [tuple(chain.from_iterable(classes[k:])) for k in range(len(classes))]
