@@ -101,15 +101,15 @@ class Alphabet(_Record, fields=("vars", "cap")):
 class Model:
     """A total truth assignment, one bit per alphabet variable.
 
-    It stores its `position` in bitstring order (the first variable is the
-    most significant bit) and its `width`, and derives `bits` when first
+    It stores only its `position` in bitstring order (the first variable is
+    the most significant bit) and its `width`; `bits` is derived on each
     read.  Models compare, hash, order and pickle as their bit tuples.
     """
 
-    __slots__ = ("position", "width", "_bits")
+    __slots__ = ("position", "width")
 
     def __init__(self, bits) -> None:
-        self._bits = bits = tuple(bool(b) for b in bits)
+        bits = tuple(bool(b) for b in bits)
         self.position = sum(bit << k for k, bit in enumerate(reversed(bits)))
         self.width = len(bits)
 
@@ -121,11 +121,7 @@ class Model:
 
     @property
     def bits(self) -> tuple[bool, ...]:
-        try:
-            return self._bits
-        except AttributeError:  # derived on first read
-            self._bits = tuple(map("1".__eq__, str(self)))
-            return self._bits
+        return tuple(map("1".__eq__, str(self)))
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -157,7 +153,7 @@ class Model:
 
 
 def _model(position: int, width: int, _new=object.__new__) -> Model:
-    """The model at `position` among those of `width` bits, with no bit tuple."""
+    """The model at `position` among those of `width` bits, built without `__init__`."""
     model = _new(Model)
     model.position, model.width = position, width
     return model
@@ -372,11 +368,11 @@ def evaluate(formula: Formula, model: Model, alphabet: Alphabet) -> bool:
     if model.width != len(alphabet):
         _require_fit(len(alphabet), (model,))
 
-    bits = model.bits  # read once: a property
+    position, last = model.position, model.width - 1
 
     def visit(node, *operands):
-        if type(node) is Var:
-            return bits[alphabet.position(node.name)]
+        if type(node) is Var:  # the first variable is the most significant bit
+            return position >> (last - alphabet.position(node.name)) & 1
         return _CONNECTIVES[type(node)](1, *operands)
 
     return bool(_fold((formula,), visit)[id(formula)])
@@ -417,7 +413,7 @@ def formula_from_models(models: Iterable[Model], alphabet: Alphabet) -> Formula:
     written: each minterm's is the AND of its literals' truth sets (a
     variable's mask, or its complement), and the root's their OR.  No other
     node gets one.  A model's literal signs are read from its position's
-    binary text, not from `Model.bits`.
+    binary text.
     """
     models = set(models)
     width = len(alphabet)
@@ -429,7 +425,7 @@ def formula_from_models(models: Iterable[Model], alphabet: Alphabet) -> Formula:
         truths = [{"1": mask, "0": full ^ mask} for mask in masks]
     terms, bits = [], 0
     for model in sorted(models, key=attrgetter("position")):
-        signs = str(model)  # one `format` call: `Model.bits` may not be derived yet
+        signs = str(model)
         literals = [
             Var(name) if sign == "1" else Not(Var(name)) for name, sign in zip(alphabet.vars, signs)
         ]

@@ -13,11 +13,13 @@ bitmaps as an int, the newest formula's bit the highest, read as
 little-endian words (`_lex_columns`); the classes are the distinct columns
 in descending order.  `_class_runs` is the one decode of classes: their
 sizes and their model positions, class by class.  A lexicographic
-history's are its columns grouped (`_grouped_positions`), with no mask
-built; other orders' are read off their masks.  `_model_classes` turns them
-into models, one `_model` call per model and one `frozenset` call per
-class.  `classes_by_stripping` builds classes from the definition instead,
-as the tests' reference.
+history's are its columns grouped by one stable sort (`_grouped_positions`),
+with no mask built; other orders' are read off their masks.  Masks grouped
+from keys (columns, explicit row sizes) are packed from those same runs
+(`_grouped_masks`).  `_model_classes` turns the runs into models, one
+`_model` call per model and one `frozenset` call per class.
+`classes_by_stripping` builds classes from the definition instead, as the
+tests' reference.
 
 Orders and the other records are plain classes (`formula._Record`): their
 fields make their equality, hash and repr; assignment is not refused.  Each
@@ -38,7 +40,7 @@ are searched for violations, and validation alone builds no mask.
 from __future__ import annotations
 
 import struct
-from collections import defaultdict
+from collections import Counter, defaultdict
 from functools import cached_property
 from itertools import chain, islice, repeat, zip_longest
 from operator import lshift, or_
@@ -98,34 +100,28 @@ def _lex_columns(maps: tuple[int, ...], width: int) -> Sequence[int]:
 
 def _grouped_positions(keys: Sequence[int]) -> tuple[list[int], list[int]]:
     """The positions of equal keys as runs: every position, in descending key
-    order and ascending within a key, and the length of each run.  Distinct
-    keys, as on a lexicographic history of the variables, are sorted at C
-    level with no Python code per position; repeated ones are bucketed."""
+    order and ascending within a key, by one stable sort at C level, and the
+    length of each run: the key counts in descending key order, all 1 when
+    every key is distinct.  No Python code runs per position."""
+    positions = sorted(range(len(keys)), key=keys.__getitem__, reverse=True)
     if len(set(keys)) == len(keys):
-        position = dict(zip(keys, range(len(keys))))
-        return list(map(position.__getitem__, sorted(position, reverse=True))), [1] * len(keys)
-    groups = defaultdict(list)
-    for p, key in enumerate(keys):
-        groups[key].append(p)
-    positions, runs = [], []
-    for key in sorted(groups, reverse=True):
-        positions += groups[key]
-        runs.append(len(groups[key]))
-    return positions, runs
+        return positions, [1] * len(keys)
+    counts = Counter(keys)
+    return positions, list(map(counts.__getitem__, sorted(counts, reverse=True)))
 
 
 def _grouped_masks(keys: Sequence[int]) -> Iterator[int]:
     """The positions of equal keys as one bitmask each, in descending key
-    order.  A single position is one shift; several set their bits in one
-    byte buffer, so each mask costs time linear in its width."""
-    positions = defaultdict(list)
-    for p, key in enumerate(keys):
-        positions[key].append(p)
-    for key in sorted(positions, reverse=True):
-        group = positions[key]
-        if len(group) == 1:
-            yield 1 << group[0]
+    order: the runs of `_grouped_positions`, packed.  A one-position run is
+    one shift; a longer one sets its bits in one byte buffer, so each mask
+    costs time linear in its width."""
+    positions, runs = _grouped_positions(keys)
+    positions = iter(positions)
+    for run in runs:
+        if run == 1:
+            yield 1 << next(positions)
             continue
+        group = list(islice(positions, run))
         buffer = bytearray((group[-1] >> 3) + 1)
         for p in group:
             buffer[p >> 3] |= 1 << (p & 7)
@@ -186,7 +182,7 @@ class ExplicitOrder(_Record, fields=("alphabet", "pairs")):
         if self._violations:
             raise NotAPreorderError(self._violations)
         # A model's row is its class and every later one: its size ranks it.
-        return tuple(_grouped_masks(map(int.bit_count, rows)))
+        return tuple(_grouped_masks(list(map(int.bit_count, rows))))
 
     def __getstate__(self) -> dict:
         # Pickles carry the fields and the validation; the masks are counted again.

@@ -1,5 +1,6 @@
 """Lexicographic classes and the pruned unfolding, read from per-model columns."""
 
+import os
 import pickle
 import random
 import subprocess
@@ -220,7 +221,7 @@ class TestMemory:
         )
         done = subprocess.run(
             [sys.executable, "-c", script],
-            env={"PYTHONPATH": str(SRC)},
+            env={**os.environ, "PYTHONPATH": str(SRC)},
             capture_output=True,
             text=True,
             check=True,
