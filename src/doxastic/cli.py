@@ -30,7 +30,7 @@ from .errors import (
     LengthCapExceededError,
     NotAPreorderError,
 )
-from .formula import Alphabet, Model, parse, render
+from .formula import Alphabet, Model, _render_all, parse
 from .orders import (
     AnyOrder,
     ExplicitOrder,
@@ -145,8 +145,7 @@ def serialize(order: AnyOrder) -> str:
         for first, second in sorted(order.pairs, key=lambda p: (p[0].position, p[1].position)):
             lines.append(f"pair: {first} {second}")
     else:
-        for member in member_formulas(order):
-            lines.append(f"formula: {render(member)}")
+        lines += [f"formula: {text}" for text in _render_all(member_formulas(order))]
     return "\n".join(lines) + "\n"
 
 

@@ -649,19 +649,24 @@ def parse(text: str, alphabet: Alphabet) -> Formula:
 
 
 def render(formula: Formula) -> str:
-    """Canonical text with minimal parentheses; `parse` inverts it exactly.
-    Each distinct node gets a rope (strings and its operands' ropes), which
-    is then written out front to back."""
-    ropes = _fold((formula,), _rope)
-    out = []
-    stack = [ropes[id(formula)][0]]
-    while stack:
-        piece = stack.pop()
-        if type(piece) is str:
-            out.append(piece)
-        else:
-            stack.extend(reversed(piece))
-    return "".join(out)
+    """Canonical text with minimal parentheses; `parse` inverts it exactly."""
+    return _render_all((formula,))[0]
+
+
+def _render_all(formulas: tuple[Formula, ...]) -> list[str]:
+    """The `render` texts of `formulas` from one fold, which gives each distinct
+    node a rope (strings and its operands' ropes); each root's is then written."""
+    ropes, texts = _fold(formulas, _rope), []
+    for formula in formulas:
+        out, stack = [], [ropes[id(formula)][0]]
+        while stack:
+            piece = stack.pop()
+            if type(piece) is str:
+                out.append(piece)
+            else:
+                stack.extend(reversed(piece))
+        texts.append("".join(out))
+    return texts
 
 
 def _rope(node: Formula, *operands: tuple) -> tuple:

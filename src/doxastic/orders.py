@@ -262,19 +262,18 @@ def _trusted(kind, alphabet: Alphabet, members, **fields):
     return order
 
 
-def _prepended(order: LexOrder | NaturalOrder, formula: Formula, kind) -> LexOrder | NaturalOrder:
-    """The history of `kind` with `formula` (already checked) prepended, walking
-    no older member; what `order` derived from them gains the one new step."""
+def _prepended(order, formula: Formula, sat: int | None, kind) -> LexOrder | NaturalOrder:
+    """The history of `kind` with `formula` (checked, of bitmap `sat`) prepended,
+    walking no older member; what `order` derived from them gains one step."""
     _require_kind(order, kind)
-    alphabet, known, extended = order.alphabet, vars(order), {}
+    known, extended = vars(order), {}
     if known.get("_bitmaps") is not None:
-        extended["_bitmaps"] = (truth_bitmap(formula, alphabet), *known["_bitmaps"])
+        extended["_bitmaps"] = (sat, *known["_bitmaps"])
     if "_promotion" in known:
         masks, classes = known["_promotion"]
         classes = list(classes)
-        mask = _promote(classes, truth_bitmap(formula, alphabet))
-        extended["_promotion"] = ((mask, *masks), tuple(classes))
-    return _trusted(kind, alphabet, (formula, *order.history), **extended)
+        extended["_promotion"] = ((_promote(classes, sat), *masks), tuple(classes))
+    return _trusted(kind, order.alphabet, (formula, *order.history), **extended)
 
 
 AnyOrder = ExplicitOrder | LevelOrder | LexOrder | NaturalOrder
