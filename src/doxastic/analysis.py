@@ -20,8 +20,7 @@ from .orders import (
     NaturalOrder,
     kind_of,
     member_formulas,
-    ranked_masks,
-    _lex_columns,
+    _class_runs,
     _require_kind,
 )
 from .translate import lex_to_level, order_size
@@ -35,13 +34,8 @@ class SizeReport(_Record, fields=("kind", "formulas", "nodes", "classes")):
 
 
 def _class_count(order: AnyOrder) -> int:
-    """The number of classes, with no `Model` built: on a lexicographic
-    history its distinct columns, with no mask built; on other orders its
-    `ranked_masks`."""
-    if isinstance(order, LexOrder):
-        order.alphabet.require_enumerable()  # before any bitmap is read
-        return len(set(_lex_columns(order._bitmaps, 1 << len(order.alphabet))))
-    return sum(1 for _ in ranked_masks(order))
+    """The number of classes, with no `Model` built: their sizes' count."""
+    return len(_class_runs(order)[0])
 
 
 def size_report(order: AnyOrder) -> SizeReport:

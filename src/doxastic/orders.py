@@ -6,35 +6,33 @@ sequence of level formulas (most plausible described first), and histories
 of lexicographic or natural revisions (most recent revision first).  The
 `leq_*` functions implement each representation's inductive comparison
 directly and are the semantic ground truth for the whole package.
-`ranked_masks` is the form in which orders' classes are compared: disjoint
-bitmasks over model positions, most plausible first.  On a lexicographic
-history a model's class is its column: its bits across the history's
-bitmaps as an int, the newest formula's bit the highest, read as
-little-endian words (`_lex_columns`); the classes are the distinct columns
-in descending order.  `_class_runs` is the one decode of classes: their
-sizes and their model positions, class by class.  A lexicographic
-history's are its columns grouped by one stable sort (`_grouped_positions`),
-with no mask built; other orders' are read off their masks.  Masks grouped
-from keys (columns, explicit row sizes) are packed from those same runs
-(`_grouped_masks`).  `_model_classes` turns the runs into models, one
-`_model` call per model and one `frozenset` call per class.
-`classes_by_stripping` builds classes from the definition instead, as the
-tests' reference.
+Each kind has one form of its classes, most plausible first.  A
+lexicographic history's are column runs: a model's column is its bits
+across the history's bitmaps as an int, the newest formula's bit the
+highest (`_lex_columns`), and the classes are the distinct columns in
+descending order, grouped by one stable sort (`_grouped_positions`) with
+no mask built.  Every other kind's are disjoint bitmasks over model
+positions (`ranked_masks`).  `_class_runs` is the one decode of both: the
+class sizes and the model positions, class by class; `equivalent`
+compares masks, or runs where either order is lexicographic.
+`_model_classes` turns the runs into models, one `_model` call per model
+and one `frozenset` call per class.  `classes_by_stripping` builds classes
+from the definition instead, as the tests' reference.
 
 Orders and the other records are plain classes (`formula._Record`): their
 fields make their equality, hash and repr; assignment is not refused.  Each
 order keeps what it derives from its members in its `__dict__`, beside the
 fields: member bitmaps (level, lexicographic), promotion masks and classes
-(natural), validation and class masks (explicit; pickles leave the masks
-out).  A prepend extends them by one step and walks no older member; a
-level revision hands over bitmaps it got one connective per new member.
-The alphabet check on members stops at nodes holding a bitmap for an equal
-alphabet.  Orders built by connectives over checked members, the alphabet's
-variables and constants (translations, revisions, loads) skip it:
-`_trusted`.  An explicit order's pairs are read once: one pass gives each
-model its row, the models it is <= to, which one chain test validates and
-whose sizes rank the classes (`_chain_rows`); only rows that fail the test
-are searched for violations, and validation alone builds no mask.
+(natural), validation and the pass over the pairs (explicit; pickles leave
+the pass out).  A prepend extends them by one step and walks no older
+member; a level revision hands over bitmaps it got one connective per new
+member.  The alphabet check on members stops at nodes holding a bitmap for
+an equal alphabet.  Orders built by connectives over checked members, the
+alphabet's variables and constants (translations, revisions, loads) skip
+it: `_trusted`.  An explicit order's pairs are read once (`_chain`): one
+pass gives each model its row, the models it is <= to, which one chain
+test validates and whose groups are the class masks; only rows that fail
+the test are searched for violations.
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ import struct
 from collections import Counter, defaultdict
 from functools import cached_property
 from itertools import chain, islice, repeat, zip_longest
-from operator import lshift, or_
+from operator import eq, lshift, or_
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from .errors import AlphabetMismatchError, NotAPreorderError, NotNormalizedError
@@ -110,24 +108,6 @@ def _grouped_positions(keys: Sequence[int]) -> tuple[list[int], list[int]]:
     return positions, list(map(counts.__getitem__, sorted(counts, reverse=True)))
 
 
-def _grouped_masks(keys: Sequence[int]) -> Iterator[int]:
-    """The positions of equal keys as one bitmask each, in descending key
-    order: the runs of `_grouped_positions`, packed.  A one-position run is
-    one shift; a longer one sets its bits in one byte buffer, so each mask
-    costs time linear in its width."""
-    positions, runs = _grouped_positions(keys)
-    positions = iter(positions)
-    for run in runs:
-        if run == 1:
-            yield 1 << next(positions)
-            continue
-        group = list(islice(positions, run))
-        buffer = bytearray((group[-1] >> 3) + 1)
-        for p in group:
-            buffer[p >> 3] |= 1 << (p & 7)
-        yield int.from_bytes(buffer, "little")
-
-
 def _first_cover(maps: Iterable[int], width: int) -> Iterator[int]:
     """A level order's classes from its member bitmaps: the models each
     member holds first, where there are any, then the models none holds."""
@@ -138,6 +118,11 @@ def _first_cover(maps: Iterable[int], width: int) -> Iterator[int]:
             covered |= mask
     if covered != full:
         yield full & ~covered
+
+
+def _is_partition(maps: tuple[int, ...], width: int) -> bool:
+    """Whether level bitmaps are exclusive, consistent and exhaustive: their own classes."""
+    return tuple(_first_cover(maps, width)) == maps
 
 
 def _promote(classes: list[int], sat: int) -> int:
@@ -172,22 +157,31 @@ class ExplicitOrder(_Record, fields=("alphabet", "pairs")):
         return validate_explicit(self)
 
     @cached_property
-    def _masks(self) -> tuple[int, ...]:
-        """The class masks, most plausible first, found once per valid order
-        in the one pass over its pairs that validates it (`_chain_rows`)."""
-        if vars(self).get("_violations"):
-            raise NotAPreorderError(self._violations)
-        rows, chained = _chain_rows(self)
-        self._violations = [] if chained else _violations_in(self.alphabet, rows)
-        if self._violations:
-            raise NotAPreorderError(self._violations)
-        # A model's row is its class and every later one: its size ranks it.
-        return tuple(_grouped_masks(list(map(int.bit_count, rows))))
+    def _chain(self) -> tuple[list[int], list[int] | None]:
+        """The one pass over the pairs: each model's row (the models it is
+        <= to), and the class masks, most plausible first, or None when the
+        rows are no chain of up-sets (Grove's spheres), a connected
+        preorder's form: grouping the models by equal row from the smallest
+        row up, each row must be its group plus the one before."""
+        alphabet = self.alphabet
+        alphabet.require_enumerable()
+        rows = [0] * (1 << len(alphabet))
+        for i, j in self.pairs:
+            rows[i.position] |= 1 << j.position
+        groups = defaultdict(int)
+        for p, row in enumerate(rows):
+            groups[row] |= 1 << p
+        ascending, below = sorted(groups), 0  # below: the groups so far, every model after the last
+        for row in ascending:
+            if row != groups[row] | below:
+                return rows, None
+            below = row
+        return rows, [groups[row] for row in reversed(ascending)]
 
     def __getstate__(self) -> dict:
-        # Pickles carry the fields and the validation; the masks are counted again.
+        # Pickles carry the fields and the validation; the pass is made again.
         state = dict(vars(self))
-        state.pop("_masks", None)
+        state.pop("_chain", None)
         return state
 
 
@@ -210,7 +204,7 @@ class LevelOrder(_Record, fields=("alphabet", "levels", "normalized")):
         self.normalized = normalized
         # The claim is checked on bitmaps not kept: a new order pickles as its fields.
         maps = _member_bitmaps(self) if normalized else None
-        if maps is not None and tuple(_first_cover(maps, len(alphabet))) != maps:
+        if maps is not None and not _is_partition(maps, len(alphabet)):
             raise NotNormalizedError("levels are not exclusive, consistent and exhaustive")
 
     _bitmaps = cached_property(_member_bitmaps)
@@ -431,21 +425,21 @@ def leq(order: AnyOrder, i: Model, j: Model) -> bool:
 
 
 def ranked_masks(order: AnyOrder) -> Iterator[int]:
-    """The order's equivalence classes as disjoint, nonempty bitmasks over
-    model positions, most plausible first.  Explicit orders are validated
-    before the first class is yielded."""
+    """The equivalence classes of an order of any kind but lexicographic as
+    disjoint, nonempty bitmasks over model positions, most plausible first.
+    Explicit orders are validated before the first class is yielded."""
+    if isinstance(order, LexOrder):
+        raise TypeError("a lexicographic order's classes are column runs, not masks")
     alphabet = order.alphabet
     alphabet.require_enumerable()
     if isinstance(order, NaturalOrder):
         yield from order._promotion[1]  # kept up by every promotion
     elif isinstance(order, LevelOrder):
         yield from _first_cover(order._bitmaps, len(alphabet))
-    elif isinstance(order, LexOrder):
-        # One class per distinct column, in descending column order: a model
-        # the newest formula holds comes first, older formulas break ties.
-        yield from _grouped_masks(_lex_columns(order._bitmaps, 1 << len(alphabet)))
     elif isinstance(order, ExplicitOrder):
-        yield from order._masks
+        if order._violations:
+            raise NotAPreorderError(order._violations)
+        yield from order._chain[1]
     else:
         raise TypeError(f"not an order: {order!r}")
 
@@ -453,9 +447,9 @@ def ranked_masks(order: AnyOrder) -> Iterator[int]:
 def _class_runs(order: AnyOrder) -> tuple[list[int], Iterable[int]]:
     """The class sizes, most plausible first, and the model positions class
     by class, ascending within a class; the cap is checked first.  A
-    lexicographic history gives both from its grouped columns, with no mask;
-    other orders give their masks' bit counts, and positions read off the
-    masks as they are consumed, a one-model mask by its length."""
+    lexicographic history's are its grouped columns, with no mask; other
+    orders give their masks' bit counts, and positions read off the masks
+    as they are consumed, a one-model mask by its length."""
     alphabet = order.alphabet
     alphabet.require_enumerable()  # before any bitmap is read
     if isinstance(order, LexOrder):
@@ -508,46 +502,28 @@ def classes_by_stripping(
 
 
 def equivalent(first: AnyOrder, second: AnyOrder) -> bool:
-    """True when both orders compare every pair of models identically."""
+    """True when both orders compare every pair of models identically: their
+    class masks are equal, or where either is lexicographic, their class
+    sizes and then their positions."""
     if first.alphabet.vars != second.alphabet.vars:
         raise AlphabetMismatchError(
             "orders over different alphabets cannot be compared"
         )
-    return all(a == b for a, b in zip_longest(ranked_masks(first), ranked_masks(second)))
+    if not isinstance(first, LexOrder) and not isinstance(second, LexOrder):
+        return all(a == b for a, b in zip_longest(ranked_masks(first), ranked_masks(second)))
+    (sizes, positions), (other_sizes, other_positions) = _class_runs(first), _class_runs(second)
+    return sizes == other_sizes and all(map(eq, positions, other_positions))
 
 
 # --- explicit-order validation -------------------------------------------------
 
 
-def _chain_rows(order: ExplicitOrder) -> tuple[list[int], bool]:
-    """Each model's row, the mask of the models it is <= to, from one pass
-    over the pairs, and whether the rows pass the chain test.
-
-    A connected preorder is exactly a chain of up-sets (Grove's spheres): a
-    model's row is its class and every later one.  So the pairs form one
-    when, grouping the models by equal row and taking the groups from the
-    smallest row up, each row is its group's models plus the row before."""
-    alphabet = order.alphabet
-    alphabet.require_enumerable()
-    rows = [0] * (1 << len(alphabet))
-    for i, j in order.pairs:
-        rows[i.position] |= 1 << j.position
-    groups = defaultdict(int)
-    for p, row in enumerate(rows):
-        groups[row] |= 1 << p
-    below = 0  # the groups so far: disjoint from the next, and every model after the last
-    for row in sorted(groups):
-        if row != groups[row] | below:
-            return rows, False
-        below = row
-    return rows, True
-
-
 def validate_explicit(order: ExplicitOrder) -> list[Violation]:
     """All reflexivity, transitivity, and connectedness failures, in model
-    order.  Only rows that fail the chain test (`_chain_rows`) are searched."""
-    rows, chained = _chain_rows(order)
-    return [] if chained else _violations_in(order.alphabet, rows)
+    order, from the pass that finds the classes (`ExplicitOrder._chain`):
+    only rows that fail its chain test are searched."""
+    rows, masks = order._chain
+    return [] if masks is not None else _violations_in(order.alphabet, rows)
 
 
 def _violations_in(alphabet: Alphabet, rows: list[int]) -> list[Violation]:

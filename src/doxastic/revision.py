@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from .errors import InconsistentRevisionError, NotNormalizedError, UndeclaredVariableError
 from .formula import And, Formula, Not, _full_mask, _require_declared, truth_bitmap
-from .orders import LevelOrder, LexOrder, NaturalOrder, _prepended, _require_kind, _trusted
-from .translate import is_normalized
+from .orders import LevelOrder, LexOrder, NaturalOrder, _prepended, _trusted
+from .translate import _normalized
 
 
 def _checked_bitmap(alphabet, formula: Formula) -> int | None:
@@ -53,8 +53,7 @@ def revise_lex_history(order: LexOrder, formula: Formula) -> LexOrder:
 
 
 def _require_normalized(order: LevelOrder) -> None:
-    _require_kind(order, LevelOrder)
-    if not (order.normalized or is_normalized(order)):
+    if not _normalized(order):
         raise NotNormalizedError(
             "level-order revision requires a normalized member sequence"
         )

@@ -32,8 +32,8 @@ from .orders import (
     LexOrder,
     NaturalOrder,
     member_formulas,
-    ranked_masks,
     _class_runs,
+    _is_partition,
     _lex_columns,
     _model_classes,
     _require_kind,
@@ -65,7 +65,15 @@ def is_normalized(order: LevelOrder) -> bool:
     """Check by enumeration: members consistent, mutually exclusive, jointly
     exhaustive."""
     _require_kind(order, LevelOrder)
-    return list(ranked_masks(order)) == list(order._bitmaps)
+    order.alphabet.require_enumerable()
+    return _is_partition(order._bitmaps, len(order.alphabet))
+
+
+def _normalized(order: LevelOrder) -> bool:
+    """Whether a level order is normalized, by its claim or by enumeration:
+    the one test of the level-to-history translations and level revisions."""
+    _require_kind(order, LevelOrder)
+    return order.normalized or is_normalized(order)
 
 
 def normalize_level(order: LevelOrder) -> LevelOrder:
@@ -195,20 +203,21 @@ def lex_to_level(
     return _trusted(LevelOrder, alphabet, members, normalized=prune)
 
 
-def level_to_natural(order: LevelOrder) -> NaturalOrder:
+def _reused_as(kind, order: LevelOrder) -> LexOrder | NaturalOrder:
     """Normalize if needed, then reuse the very same member sequence as a
-    natural-revision history."""
-    _require_kind(order, LevelOrder)
-    source = order if order.normalized or is_normalized(order) else normalize_level(order)
-    return _trusted(NaturalOrder, order.alphabet, source.levels)
+    history of `kind`."""
+    source = order if _normalized(order) else normalize_level(order)
+    return _trusted(kind, order.alphabet, source.levels)
+
+
+def level_to_natural(order: LevelOrder) -> NaturalOrder:
+    """The member sequence, normalized if needed, as a natural-revision history."""
+    return _reused_as(NaturalOrder, order)
 
 
 def level_to_lex(order: LevelOrder) -> LexOrder:
-    """Normalize if needed, then reuse the very same member sequence as a
-    lexicographic-revision history."""
-    _require_kind(order, LevelOrder)
-    source = order if order.normalized or is_normalized(order) else normalize_level(order)
-    return _trusted(LexOrder, order.alphabet, source.levels)
+    """The member sequence, normalized if needed, as a lexicographic-revision history."""
+    return _reused_as(LexOrder, order)
 
 
 def explicit_to_level(order: ExplicitOrder) -> LevelOrder:

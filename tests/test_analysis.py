@@ -94,7 +94,7 @@ class TestBlowupExperiment:
         def row_computed(*args, **kwargs):
             raise AssertionError("a row was computed")
 
-        monkeypatch.setattr(dx.analysis, "ranked_masks", row_computed)
+        monkeypatch.setattr(dx.analysis, "_class_runs", row_computed)
         monkeypatch.setattr(dx.analysis, "lex_to_level", row_computed)
         with pytest.raises(dx.CapExceededError):
             dx.blowup_experiment(21)

@@ -44,7 +44,6 @@ def test_lexicographic_pairs_are_built_without_a_mask(monkeypatch):
     def refused(*args):
         raise AssertionError("a lexicographic class was built as a mask")
 
-    monkeypatch.setattr(orders, "_grouped_masks", refused)
     monkeypatch.setattr(orders, "ranked_masks", refused)
     for order, reference in zip(histories, expected):
         explicit = dx.to_explicit(order)

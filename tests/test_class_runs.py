@@ -3,13 +3,14 @@ flat lists, and variable masks built by doubling."""
 
 import pickle
 import random
+from itertools import islice
 
 import pytest
 
 import doxastic as dx
 from doxastic import formula, orders
 from doxastic.formula import _full_mask, _model
-from doxastic.orders import _grouped_masks, _grouped_positions, ranked_masks
+from doxastic.orders import _grouped_positions, ranked_masks
 
 from conftest import (
     alphabet_of,
@@ -47,13 +48,27 @@ def lex_histories(rng: random.Random):
                 yield dx.LexOrder(alphabet, tuple(with_constant))
 
 
+def reference_masks(order) -> list[int]:
+    """The class masks: `ranked_masks`, or for a lexicographic history, which
+    has none, one mask per distinct column, the columns read model by model
+    as tuples of truth values, newest formula first, the largest first."""
+    if not isinstance(order, dx.LexOrder):
+        return list(ranked_masks(order))
+    maps = [dx.truth_bitmap(f, order.alphabet) for f in order.history]
+    keys = [tuple(sat >> p & 1 for sat in maps) for p in range(1 << len(order.alphabet))]
+    return [
+        sum(1 << p for p in range(len(keys)) if keys[p] == key)
+        for key in sorted(set(keys), reverse=True)
+    ]
+
+
 def decoded_from_masks(order) -> dx.ClassPartition:
     """The partition as the masks give it: each mask's models in ascending
     position, one frozenset per class."""
     width = len(order.alphabet)
     classes = [
         frozenset(_model(p, width) for p in range(1 << width) if mask >> p & 1)
-        for mask in ranked_masks(order)
+        for mask in reference_masks(order)
     ]
     return dx.ClassPartition(order.alphabet, classes)
 
@@ -69,7 +84,7 @@ class TestGroupedPositions:
                 assert positions == expected
                 assert runs == [keys.count(key) for key in sorted(set(keys), reverse=True)]
 
-    def test_masks_hold_the_positions_of_each_key(self):
+    def test_runs_hold_the_positions_of_each_key(self):
         rng = random.Random(42)
         for size in (1, 8, 33, 200, 4096):
             for distinct in (1, 2, 3, 40, size):
@@ -78,7 +93,10 @@ class TestGroupedPositions:
                     sum(1 << p for p in range(size) if keys[p] == key)
                     for key in sorted(set(keys), reverse=True)
                 ]
-                assert list(_grouped_masks(keys)) == expected, (size, distinct)
+                positions, runs = _grouped_positions(keys)
+                positions = iter(positions)
+                packed = [sum(1 << p for p in islice(positions, run)) for run in runs]
+                assert packed == expected, (size, distinct)
 
 
 class TestLexicographicClasses:
@@ -111,10 +129,10 @@ class TestLexicographicClasses:
                 )
 
     def test_no_mask_is_built(self, monkeypatch):
-        def masked(keys):
+        def masked(order):
             raise AssertionError("a lexicographic class was built as a mask")
 
-        monkeypatch.setattr(orders, "_grouped_masks", masked)
+        monkeypatch.setattr(orders, "ranked_masks", masked)
         for n in (0, 1, 5):
             alphabet = named_alphabet(n)
             order = dx.LexOrder(alphabet, tuple(dx.Var(name) for name in alphabet.vars))

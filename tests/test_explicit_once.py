@@ -169,7 +169,7 @@ class TestOnePassOverPairs:
         rng = random.Random(94 + width)
         for _ in range(5):
             order = random_explicit_order(rng, alphabet_of(width), max_rank=rng.randint(0, 6))
-            assert list(order._masks) == masks_by_above_count(order)
+            assert list(orders_module.ranked_masks(order)) == masks_by_above_count(order)
 
     def test_a_first_class_read_walks_the_pairs_once(self):
         rng = random.Random(95)
@@ -195,16 +195,16 @@ class TestOnePassOverPairs:
                     pass
             assert CountedPairs.walks == 1
 
-    def test_validation_alone_builds_no_mask(self, monkeypatch):
-        def refused(keys):
-            raise AssertionError("masks were built")
-
-        monkeypatch.setattr(orders_module, "_grouped_masks", refused)
+    def test_validation_and_the_class_read_share_one_walk(self):
         rng = random.Random(96)
         for width in range(6):
             order = random_explicit_order(rng, alphabet_of(width))
+            order.pairs = CountedPairs(order.pairs)
+            CountedPairs.walks = 0
             assert dx.validate_explicit(order) == [] and order._violations == []
-            assert "_masks" not in vars(order)
+            dx.classes_of(order)
+            dx.explicit_to_level(order)
+            assert CountedPairs.walks == 1
 
     def test_broken_orders_report_the_violations_of_the_definition(self):
         broken = 0
@@ -217,7 +217,7 @@ class TestOnePassOverPairs:
                 with pytest.raises(dx.NotAPreorderError) as raised:
                     dx.classes_of(order)
                 assert raised.value.violations == expected
-                assert order._violations == expected and "_masks" not in vars(order)
+                assert order._violations == expected and order._chain[1] is None
             else:
                 dx.classes_of(order)
                 assert order._violations == []
@@ -244,7 +244,7 @@ class TestLexicographicClassCount:
         def refused(order):
             raise AssertionError("masks were built")
 
-        monkeypatch.setattr(analysis, "ranked_masks", refused)
+        monkeypatch.setattr(orders_module, "ranked_masks", refused)
         assert [analysis._class_count(order) for order in histories] == expected
 
     def test_the_cap_is_checked_before_any_bitmap(self):

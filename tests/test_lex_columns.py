@@ -13,7 +13,7 @@ import pytest
 
 import doxastic as dx
 from doxastic.formula import _fold, dag_node_count
-from doxastic.orders import _lex_columns, ranked_masks
+from doxastic.orders import _class_runs, _lex_columns
 
 from conftest import (
     alphabet_of,
@@ -90,7 +90,9 @@ class TestColumns:
     def test_a_wide_class_comes_out_whole(self):
         order = dx.LexOrder(alphabet_of(6), (dx.parse("a", alphabet_of(6)),))
         held = dx.truth_bitmap(order.history[0], order.alphabet)
-        assert list(ranked_masks(order)) == [held, ((1 << 64) - 1) ^ held]
+        sizes, positions = _class_runs(order)
+        assert sizes == [32, 32]
+        assert list(positions) == sorted(range(64), key=lambda p: not held >> p & 1)
 
 
 class TestTrustedPartition:

@@ -152,6 +152,6 @@ class TestCountOnlyPaths:
         def counted(order):
             raise AssertionError("a row was computed")
 
-        monkeypatch.setattr(analysis, "ranked_masks", counted)
+        monkeypatch.setattr(analysis, "_class_runs", counted)
         with pytest.raises(dx.CapExceededError):
             dx.blowup_experiment(21)

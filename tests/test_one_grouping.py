@@ -8,9 +8,9 @@ import pytest
 
 import doxastic as dx
 from doxastic import orders
-from doxastic.orders import _grouped_masks, _grouped_positions
+from doxastic.orders import _grouped_positions
 
-from conftest import alphabet_of, random_explicit_order, random_formula
+from conftest import alphabet_of, random_explicit_order, random_formula, random_lex_order
 
 
 def profile_events(call) -> int:
@@ -45,7 +45,7 @@ class TestOneGrouping:
             counts.append(profile_events(lambda: _grouped_positions(keys)))
         assert counts[0] == counts[1], counts
 
-    def test_masks_are_packed_from_the_grouped_runs(self, monkeypatch):
+    def test_only_lexicographic_classes_are_grouped_by_sorting(self, monkeypatch):
         calls = []
 
         def grouped(keys):
@@ -53,11 +53,11 @@ class TestOneGrouping:
             return _grouped_positions(keys)
 
         monkeypatch.setattr(orders, "_grouped_positions", grouped)
-        keys = (3, 1, 3, 0, 1, 3)
-        assert list(_grouped_masks(keys)) == [0b100101, 0b10010, 0b1000]
-        order = random_explicit_order(random.Random(62), alphabet_of(3))
-        masks = order._masks
-        assert calls == [len(keys), 1 << 3]
+        assert grouped((3, 1, 3, 0, 1, 3)) == ([0, 2, 5, 1, 4, 3], [3, 2, 1])
+        rng = random.Random(62)
+        dx.classes_of(random_lex_order(rng, alphabet_of(3)))
+        masks = list(orders.ranked_masks(random_explicit_order(rng, alphabet_of(3))))
+        assert calls == [6, 1 << 3]
         assert sum(map(int.bit_count, masks)) == 1 << 3
 
 

@@ -259,8 +259,9 @@ class TestToExplicit:
 
 
 class TestTranslationsReadMasks:
-    """`to_explicit` and `explicit_to_level` read `ranked_masks`: with no
-    `ClassPartition` to be had, they give what the route through one gave."""
+    """`to_explicit` and `explicit_to_level` read the class runs
+    (`orders._class_runs`): with no `ClassPartition` to be had, they give
+    what the route through one gave."""
 
     @staticmethod
     def orders():
